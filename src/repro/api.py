@@ -29,20 +29,25 @@ the package root, which re-exports both names).
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from .chip.dvfs import DvfsTable
 from .config import ServerConfig
-from .core.evaluate import apply_with_contention
 from .core.placement import Placement
 from .errors import SchedulingError
 from .faults.injector import injected
 from .faults.plan import FaultPlan
 from .guardband import GuardbandMode
-from .sim.batch import SweepRunner, core_scaling_tasks, default_runner
+from .sim.batch import (
+    SweepRunner,
+    SweepTask,
+    core_scaling_tasks,
+    default_runner,
+    place_task,
+    settle_placed,
+)
 from .sim.cache import OperatingPointCache
-from .sim.results import RunResult, SteadyState
-from .sim.run import _steady_state, active_mean_frequency
+from .sim.results import RunResult
 from .sim.server import Power720Server
 from .workloads import get_profile
 from .workloads.profile import WorkloadProfile
@@ -99,6 +104,40 @@ def _cap_frequencies(config: Optional[ServerConfig]) -> Tuple[float, ...]:
     cfg = config or ServerConfig()
     table = DvfsTable(cfg.chip, cfg.guardband)
     return tuple(p.frequency for p in reversed(table.points))
+
+
+def _check_cap(power_cap: float, f_target: Optional[float]) -> None:
+    if f_target is not None:
+        raise SchedulingError(
+            "pass power_cap= or f_target=, not both — the cap walk "
+            "chooses the frequency"
+        )
+    if power_cap <= 0:
+        raise SchedulingError(f"power_cap must be positive, got {power_cap}")
+
+
+def _fit_cap(
+    settle: Callable[[float], RunResult],
+    result: RunResult,
+    power_cap: float,
+    config: Optional[ServerConfig],
+    where: str = "",
+) -> RunResult:
+    """Walk ``settle`` down the DVFS table from the uncapped ``result``
+    until the adaptive server power fits ``power_cap``."""
+    if result.adaptive.point.server_power <= power_cap:
+        return result
+    for frequency in _cap_frequencies(config):
+        if frequency >= result.adaptive.point.min_frequency:
+            continue  # no slower than the current settle
+        result = settle(frequency)
+        if result.adaptive.point.server_power <= power_cap:
+            return result
+    raise SchedulingError(
+        f"power cap of {power_cap:.1f} W is below the floor{where}: even "
+        f"the lowest DVFS point draws "
+        f"{result.adaptive.point.server_power:.1f} W"
+    )
 
 
 def measure(
@@ -172,193 +211,68 @@ def measure(
             )
     config = _resolve_backend_config(config, pdn_backend, server)
     if power_cap is not None:
-        if f_target is not None:
-            raise SchedulingError(
-                "pass power_cap= or f_target=, not both — the cap walk "
-                "chooses the frequency"
-            )
-        if power_cap <= 0:
-            raise SchedulingError(
-                f"power_cap must be positive, got {power_cap}"
-            )
-
-        def _attempt(target: Optional[float]) -> RunResult:
-            return measure(
-                workload,
-                mode=mode,
-                n_threads=n_threads,
-                placement=placement,
-                schedule=schedule,
-                keep_on=keep_on,
-                threads_per_core=threads_per_core,
-                server=server,
-                config=config,
-                seed=seed,
-                runtime_model=runtime_model,
-                f_target=target,
-            )
-
-        result = _attempt(None)
-        if result.adaptive.point.server_power <= power_cap:
-            return result
-        for frequency in _cap_frequencies(config):
-            if frequency >= result.adaptive.point.min_frequency:
-                continue  # no slower than the uncapped settle
-            result = _attempt(frequency)
-            if result.adaptive.point.server_power <= power_cap:
-                return result
-        raise SchedulingError(
-            f"power cap of {power_cap:.1f} W is below the floor: even the "
-            f"lowest DVFS point draws "
-            f"{result.adaptive.point.server_power:.1f} W here"
-        )
+        _check_cap(power_cap, f_target)
     profile = _resolve_profile(workload)
     guardband_mode = _resolve_mode(mode)
     if placement is not None and schedule is not None:
         raise SchedulingError(
             "measure() takes placement= or schedule=, not both"
         )
-    box = _resolve_server(server, config, seed)
     runtime = runtime_model or RuntimeModel()
 
     if schedule is not None:
-        return _measure_schedule(
-            box, schedule, profile, guardband_mode, runtime, f_target
+        task = SweepTask.scheduled(
+            schedule, profile, guardband_mode, f_target=f_target
         )
-    if placement is not None:
+    elif placement is not None:
         share = (
             placement
             if isinstance(placement, SocketShare)
             else SocketShare(tuple(placement))
         )
-        return _measure_share(
-            box,
+        task = SweepTask.placement(
             profile,
-            share,
+            share.threads_per_socket,
             guardband_mode,
-            keep_on,
-            threads_per_core,
-            runtime,
-            f_target,
+            keep_on=keep_on,
+            threads_per_core=threads_per_core,
+            f_target=f_target,
         )
-    if keep_on is not None:
+    elif keep_on is not None:
         raise SchedulingError(
             "keep_on= only applies to the placement= variant"
         )
-    return _measure_consolidated(
-        box, profile, n_threads, guardband_mode, threads_per_core, runtime,
-        f_target,
-    )
-
-
-# ----------------------------------------------------------------------
-# Variant implementations (the canonical ones — the legacy entry points
-# in sim.run and core.evaluate delegate here)
-# ----------------------------------------------------------------------
-def _measure_consolidated(
-    server: Power720Server,
-    profile: WorkloadProfile,
-    n_threads: int,
-    mode: GuardbandMode,
-    threads_per_core: int,
-    runtime: RuntimeModel,
-    f_target: Optional[float],
-) -> RunResult:
-    server.clear()
-    server.place(0, profile, n_threads, threads_per_core=threads_per_core)
-    share = SocketShare.consolidated(n_threads, server.n_sockets)
-    n_active = server.sockets[0].chip.n_active_cores()
-
-    static_point = server.operate(GuardbandMode.STATIC, f_target)
-    static_state = _steady_state(
-        server, profile, share, GuardbandMode.STATIC, n_active, static_point,
-        runtime,
-    )
-    adaptive_point = server.operate(mode, f_target)
-    adaptive_state = _steady_state(
-        server, profile, share, mode, n_active, adaptive_point, runtime
-    )
-    return RunResult(
-        profile=profile,
-        n_active_cores=n_active,
-        static=static_state,
-        adaptive=adaptive_state,
-    )
-
-
-def _measure_share(
-    server: Power720Server,
-    profile: WorkloadProfile,
-    share: SocketShare,
-    mode: GuardbandMode,
-    keep_on: Optional[Sequence[int]],
-    threads_per_core: int,
-    runtime: RuntimeModel,
-    f_target: Optional[float],
-) -> RunResult:
-    server.clear()
-    for sid, n_threads in enumerate(share.threads_per_socket):
-        if n_threads:
-            server.place(
-                sid, profile, n_threads, threads_per_core=threads_per_core
-            )
-    if keep_on is not None:
-        server.gate_unused(keep_on)
-    n_active = sum(s.chip.n_active_cores() for s in server.sockets)
-
-    static_point = server.operate(GuardbandMode.STATIC, f_target)
-    static_state = _steady_state(
-        server, profile, share, GuardbandMode.STATIC, n_active, static_point,
-        runtime,
-    )
-    adaptive_point = server.operate(mode, f_target)
-    adaptive_state = _steady_state(
-        server, profile, share, mode, n_active, adaptive_point, runtime
-    )
-    return RunResult(
-        profile=profile,
-        n_active_cores=n_active,
-        static=static_state,
-        adaptive=adaptive_state,
-    )
-
-
-def _measure_schedule(
-    server: Power720Server,
-    schedule: Placement,
-    profile: WorkloadProfile,
-    mode: GuardbandMode,
-    runtime: RuntimeModel,
-    f_target: Optional[float],
-) -> RunResult:
-    apply_with_contention(server, schedule, runtime)
-    share = schedule.share_of(profile.name)
-    n_active = sum(s.chip.n_active_cores() for s in server.sockets)
-
-    states = {}
-    for measured_mode in (GuardbandMode.STATIC, mode):
-        point = server.operate(measured_mode, f_target)
-        frequency = active_mean_frequency(point)
-        execution_time = runtime.execution_time(
+    else:
+        task = SweepTask.consolidated(
             profile,
-            share,
-            frequency=frequency,
-            reference_frequency=server.config.chip.f_nominal,
-            threads_per_core=schedule.threads_per_core,
+            n_threads,
+            guardband_mode,
+            threads_per_core=threads_per_core,
+            f_target=f_target,
         )
-        states[measured_mode] = SteadyState(
-            workload=profile.name,
-            mode=measured_mode,
-            n_active_cores=n_active,
-            point=point,
-            execution_time=execution_time,
-            active_frequency=frequency,
+
+    def settle(measured: SweepTask) -> RunResult:
+        # One placement, two settles on the same server: STATIC, then mode.
+        box = _resolve_server(server, config, seed)
+        share, settle_tpc = place_task(box, measured, runtime)
+        static, adaptive = (
+            settle_placed(box, measured, settle_mode, share, runtime, settle_tpc)
+            for settle_mode in (GuardbandMode.STATIC, guardband_mode)
         )
-    return RunResult(
-        profile=profile,
-        n_active_cores=n_active,
-        static=states[GuardbandMode.STATIC],
-        adaptive=states[mode],
+        return RunResult(
+            profile=profile,
+            n_active_cores=static.n_active_cores,
+            static=static,
+            adaptive=adaptive,
+        )
+
+    if power_cap is None:
+        return settle(task)
+    return _fit_cap(
+        lambda frequency: settle(dataclasses.replace(task, f_target=frequency)),
+        settle(task),
+        power_cap,
+        config,
     )
 
 
@@ -421,13 +335,8 @@ def sweep(
                 pdn_backend=pdn_backend,
             )
     config = _resolve_backend_config(config, pdn_backend)
-    if power_cap is not None and f_target is not None:
-        raise SchedulingError(
-            "pass power_cap= or f_target=, not both — the cap walk "
-            "chooses the frequency"
-        )
-    if power_cap is not None and power_cap <= 0:
-        raise SchedulingError(f"power_cap must be positive, got {power_cap}")
+    if power_cap is not None:
+        _check_cap(power_cap, f_target)
     profile = _resolve_profile(workload)
     guardband_mode = _resolve_mode(mode)
     if runner is None:
@@ -453,25 +362,15 @@ def sweep(
     results = runner.run_results(tasks, config)
     if power_cap is None:
         return results
-    capped: List[RunResult] = []
-    candidates = _cap_frequencies(config)
-    for task, result in zip(tasks, results):
-        if result.adaptive.point.server_power <= power_cap:
-            capped.append(result)
-            continue
-        for frequency in candidates:
-            if frequency >= result.adaptive.point.min_frequency:
-                continue
-            retry = dataclasses.replace(task, f_target=frequency)
-            result = runner.run_results([retry], config)[0]
-            if result.adaptive.point.server_power <= power_cap:
-                break
-        else:
-            raise SchedulingError(
-                f"power cap of {power_cap:.1f} W is below the floor for "
-                f"{profile.name} on {task.n_threads} threads: the lowest "
-                f"DVFS point draws "
-                f"{result.adaptive.point.server_power:.1f} W"
-            )
-        capped.append(result)
-    return capped
+    return [
+        _fit_cap(
+            lambda frequency, task=task: runner.run_results(
+                [dataclasses.replace(task, f_target=frequency)], config
+            )[0],
+            result,
+            power_cap,
+            config,
+            where=f" for {profile.name} on {task.n_threads} threads",
+        )
+        for task, result in zip(tasks, results)
+    ]

@@ -266,7 +266,7 @@ def clear_fleet_memos() -> None:
     """
     from .scheduler import _freq_memo, _plan_memo, _predictor_memo
 
-    fleet_settle_cache().clear_memory()
+    fleet_settle_cache().clear()
     _idle_power_memo.clear()
     _job_rate_memo.clear()
     _predictor_memo.clear()
@@ -530,26 +530,6 @@ class FleetSimulation:
         # re-settle is a settle-cache memory hit, never a second solve.
         index = min(lo, len(candidates) - 1)
         return self._settle(placement, mode, candidates[index]), True
-
-    def _settle_capped_linear(
-        self, placement, mode: GuardbandMode, cap_w: Optional[float]
-    ) -> Tuple[RunResult, bool]:
-        """Reference linear descending cap walk (pre-bisection semantics).
-
-        Kept verbatim as the adjudicator for the equivalence property
-        test — :meth:`_settle_capped` must select the exact same point
-        for every cap and mode.  Not used on any hot path.
-        """
-        result = self._settle(placement, mode)
-        if cap_w is None or result.adaptive.point.server_power <= cap_w:
-            return result, False
-        for frequency in self._cap_walk_frequencies():
-            if frequency >= result.adaptive.point.min_frequency:
-                continue  # not slower than the current settle
-            result = self._settle(placement, mode, frequency)
-            if result.adaptive.point.server_power <= cap_w:
-                break
-        return result, True
 
     def _scheduler_settle(
         self,

@@ -47,6 +47,7 @@ from .run import active_mean_frequency, build_server
 
 if TYPE_CHECKING:  # pragma: no cover - imported for annotations only
     from ..core.placement import Placement
+    from .server import Power720Server
 
 #: Default die seed, matching :func:`repro.sim.run.build_server`.
 DEFAULT_SEED_ROOT = 7
@@ -270,26 +271,22 @@ def _runtime_model(params: Optional[Tuple[float, float]]) -> RuntimeModel:
     return RuntimeModel(socket_bandwidth=params[0], cross_socket_penalty=params[1])
 
 
-def _settle_mode(
-    config: ServerConfig, seed: int, task: SweepTask, mode: GuardbandMode
-) -> SteadyState:
-    """Settle one mode of one task on a fresh server.
+def place_task(
+    server: "Power720Server", task: SweepTask, runtime: RuntimeModel
+) -> Tuple[SocketShare, int]:
+    """Realize ``task``'s placement on ``server`` (which is cleared first).
 
-    Always starting from a fresh server makes the result a pure function
-    of the arguments — the property the cache and the parallel schedule
-    both rely on.
+    Covers the three measurement procedures — consolidated, placement
+    and scheduled.  Returns the socket share and the threads-per-core
+    figure the runtime model prices the settle with.
     """
-    server = build_server(config, seed=seed)
-    runtime = _runtime_model(task.runtime_params)
-    threads_per_core_for_runtime = 1
-
     if task.kind == "consolidated":
         server.clear()
         server.place(
             0, task.profile, task.n_threads, threads_per_core=task.threads_per_core
         )
-        share = SocketShare.consolidated(task.n_threads, server.n_sockets)
-    elif task.kind == "placement":
+        return SocketShare.consolidated(task.n_threads, server.n_sockets), 1
+    if task.kind == "placement":
         server.clear()
         for sid, n_threads in enumerate(task.share):
             if n_threads:
@@ -301,16 +298,25 @@ def _settle_mode(
                 )
         if task.keep_on is not None:
             server.gate_unused(list(task.keep_on))
-        share = SocketShare(task.share)
-    elif task.kind == "scheduled":
+        return SocketShare(task.share), 1
+    if task.kind == "scheduled":
         from ..core.evaluate import apply_with_contention
 
-        apply_with_contention(server, task.placement_plan, runtime)
-        share = task.placement_plan.share_of(task.profile.name)
-        threads_per_core_for_runtime = task.placement_plan.threads_per_core
-    else:
-        raise ValueError(f"unknown task kind {task.kind!r}")
+        plan = task.placement_plan
+        apply_with_contention(server, plan, runtime)
+        return plan.share_of(task.profile.name), plan.threads_per_core
+    raise ValueError(f"unknown task kind {task.kind!r}")
 
+
+def settle_placed(
+    server: "Power720Server",
+    task: SweepTask,
+    mode: GuardbandMode,
+    share: SocketShare,
+    runtime: RuntimeModel,
+    threads_per_core: int,
+) -> SteadyState:
+    """Settle ``mode`` on a server :func:`place_task` already placed."""
     n_active = sum(s.chip.n_active_cores() for s in server.sockets)
     point = server.operate(mode, task.f_target)
     frequency = active_mean_frequency(point)
@@ -319,7 +325,7 @@ def _settle_mode(
         share,
         frequency=frequency,
         reference_frequency=server.config.chip.f_nominal,
-        threads_per_core=threads_per_core_for_runtime,
+        threads_per_core=threads_per_core,
     )
     return SteadyState(
         workload=task.profile.name,
@@ -336,13 +342,23 @@ def _execute_task(
 ) -> Tuple[Dict[str, SteadyState], float]:
     """Worker entry point: settle the missing modes of one task.
 
-    Module-level (not a closure) so :class:`ProcessPoolExecutor` can
-    pickle it; also the in-process fallback path, which guarantees the
-    two schedules produce bit-identical results.
+    Each mode settles on a fresh server, so every state is a pure
+    function of its cache key — the property the cache and the parallel
+    schedule both rely on.  Module-level (not a closure) so
+    :class:`ProcessPoolExecutor` can pickle it; also the in-process
+    fallback path, which guarantees the two schedules produce
+    bit-identical results.
     """
     config, seed, task, modes = payload
     start = time.perf_counter()
-    states = {mode.value: _settle_mode(config, seed, task, mode) for mode in modes}
+    runtime = _runtime_model(task.runtime_params)
+    states = {}
+    for mode in modes:
+        server = build_server(config, seed=seed)
+        share, threads_per_core = place_task(server, task, runtime)
+        states[mode.value] = settle_placed(
+            server, task, mode, share, runtime, threads_per_core
+        )
     return states, time.perf_counter() - start
 
 

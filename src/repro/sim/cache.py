@@ -21,7 +21,9 @@ Components
     round-trip exactly through ``repr``-based JSON serialization, so a
     disk hit is bit-identical to the original measurement).
 :class:`OperatingPointCache`
-    In-memory LRU with hit/miss counters plus the optional disk layer.
+    In-memory LRU with hit/miss counters plus the optional checksummed,
+    quarantining disk layer.  :class:`~repro.fleet.settle_cache.FleetSettleCache`
+    is the same store holding whole fleet settles.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import hashlib
 import json
 import os
 from collections import OrderedDict
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Hashable, NamedTuple, Optional
 
 from ..chip.power import PowerBreakdown
 from ..guardband import GuardbandMode
@@ -49,6 +51,10 @@ DEFAULT_CACHE_DIR = ".repro_cache"
 #: Default in-memory entry cap.  One entry is a few kilobytes; the full
 #: figure suite settles ~2000 distinct points, so the default holds it all.
 DEFAULT_MAX_ENTRIES = 4096
+
+#: Suffix quarantined (failing-validation) disk entries are renamed to,
+#: so a persistently bad file never costs a decode attempt twice.
+QUARANTINE_SUFFIX = ".corrupt"
 
 
 # ----------------------------------------------------------------------
@@ -207,8 +213,28 @@ class CacheStats:
         return line
 
 
+class CacheMetrics(NamedTuple):
+    """The counter names one cache class records under."""
+
+    lookups: str
+    stores: str
+    evictions: str
+    disk_errors: str
+    corrupt: str
+
+    @classmethod
+    def family(cls, prefix: str) -> "CacheMetrics":
+        """``<prefix>_<field>_total`` for every field."""
+        return cls(*(f"{prefix}_{name}_total" for name in cls._fields))
+
+
+def _payload_checksum(encoded: Any) -> str:
+    """SHA-256 over the canonical JSON of an encoded cache value."""
+    return hashlib.sha256(canonical_json(encoded).encode("utf-8")).hexdigest()
+
+
 class OperatingPointCache:
-    """LRU cache of settled operating points, with optional JSON disk layer.
+    """LRU cache of settled values, with an optional checksummed disk layer.
 
     Parameters
     ----------
@@ -216,10 +242,23 @@ class OperatingPointCache:
         In-memory entry cap; least recently used entries are evicted.
     disk_dir:
         When given, every store is also persisted as one JSON file
-        ``<key>.json`` under this directory, and in-memory misses fall
-        through to disk.  Corrupt or unreadable files count as misses
-        (and ``disk_errors``), never as failures.
+        ``<_disk_name(key)>.json`` under this directory, and in-memory
+        misses fall through to disk.  Writes are atomic (pid-suffixed
+        temp + ``os.replace``), so workers can share one directory.
+        Each file holds ``{"checksum", "result"}``: an unreadable file
+        counts as a miss (``disk_errors``); a torn, garbage or
+        checksum-failing one is also quarantined to ``*.corrupt``
+        (``corrupt``) so it is recomputed, never decoded twice.
+
+    Subclasses cache other values by overriding :attr:`value_type`,
+    :attr:`metrics` and :meth:`_disk_name`.
     """
+
+    #: What a disk entry must decode to.
+    value_type: type = SteadyState
+
+    #: Counter names, precomputed so the hit path builds no strings.
+    metrics = CacheMetrics.family("opcache")
 
     def __init__(
         self,
@@ -228,10 +267,14 @@ class OperatingPointCache:
     ) -> None:
         if max_entries < 1:
             raise ValueError(f"max_entries must be >= 1, got {max_entries}")
-        self._max_entries = max_entries
-        self._entries: "OrderedDict[str, SteadyState]" = OrderedDict()
+        self.max_entries = max_entries
+        self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
         self._disk_dir = disk_dir
         self.stats = CacheStats()
+        # Deterministic chaos hook: while armed, every Nth disk write is
+        # torn mid-payload (see arm_corruption / CacheCorruptionFault).
+        self._corrupt_every: Optional[int] = None
+        self._writes_since_armed = 0
 
     @property
     def disk_dir(self) -> Optional[str]:
@@ -241,99 +284,162 @@ class OperatingPointCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def get(self, key: str) -> Optional[SteadyState]:
-        """The cached state for ``key``, or ``None`` on a miss."""
-        if key in self._entries:
-            self._entries.move_to_end(key)
-            self.stats.hits += 1
-            self._record_lookup("hit")
-            return self._entries[key]
-        state = self._disk_get(key)
-        if state is not None:
-            self.stats.hits += 1
-            self.stats.disk_hits += 1
-            self._record_lookup("disk_hit")
-            self._remember(key, state)
-            return state
-        self.stats.misses += 1
-        self._record_lookup("miss")
-        return None
+    # get/put only delegate: a subclass's own get/put reuse _lookup and
+    # _store instead of nesting a call to these.
+    def get(self, key: Hashable) -> Optional[Any]:
+        """The cached value for ``key``, or ``None`` on a miss."""
+        return self._lookup(key)
 
-    def put(self, key: str, state: SteadyState) -> None:
-        """Store one settled state under ``key`` (memory, then disk)."""
-        self._remember(key, state)
-        self.stats.stores += 1
-        observability().count(
-            "opcache_stores_total",
-            help_text="Operating points stored into the cache.",
-        )
-        self._disk_put(key, state)
-
-    @staticmethod
-    def _record_disk_error(op: str) -> None:
-        observability().count(
-            "opcache_disk_errors_total",
-            help_text="Disk-layer faults absorbed as misses.",
-            op=op,
-        )
-
-    @staticmethod
-    def _record_lookup(result: str) -> None:
-        observability().count(
-            "opcache_lookups_total",
-            help_text="Operating-point cache lookups by outcome.",
-            result=result,
-        )
+    def put(self, key: Hashable, value: Any) -> None:
+        """Store one value under ``key`` (memory, then disk)."""
+        self._store(key, value)
 
     def clear(self) -> None:
         """Drop the in-memory layer (disk files are left in place)."""
         self._entries.clear()
 
+    def arm_corruption(self, every_n: Optional[int]) -> Optional[int]:
+        """Arm (``every_n >= 1``) or disarm (``None``) write tearing.
+
+        While armed, every ``every_n``-th disk write is truncated
+        mid-payload after the atomic replace — a deterministic stand-in
+        for torn writes (power loss, full disk).  Returns the previous
+        setting so callers can restore it; the write counter restarts on
+        every call, keeping the tear sequence a pure function of the
+        write order since arming.
+        """
+        if every_n is not None and every_n < 1:
+            raise ValueError(f"every_n must be >= 1, got {every_n}")
+        previous = self._corrupt_every
+        self._corrupt_every = every_n
+        self._writes_since_armed = 0
+        return previous
+
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _remember(self, key: str, state: SteadyState) -> None:
-        self._entries[key] = state
+    def _lookup(self, key: Hashable) -> Optional[Any]:
+        if key in self._entries:
+            self._entries.move_to_end(key)
+            self.stats.hits += 1
+            self._record_lookup("hit")
+            return self._entries[key]
+        value = self._disk_get(key)
+        if value is not None:
+            self.stats.hits += 1
+            self.stats.disk_hits += 1
+            self._record_lookup("disk_hit")
+            self._remember(key, value)
+            return value
+        self.stats.misses += 1
+        self._record_lookup("miss")
+        return None
+
+    def _store(self, key: Hashable, value: Any) -> None:
+        self._remember(key, value)
+        self.stats.stores += 1
+        observability().count(
+            self.metrics.stores, help_text="Values stored into the cache."
+        )
+        self._disk_put(key, value)
+
+    def _record_lookup(self, result: str) -> None:
+        observability().count(
+            self.metrics.lookups,
+            help_text="Cache lookups by outcome.",
+            result=result,
+        )
+
+    def _record_disk_error(self, op: str) -> None:
+        observability().count(
+            self.metrics.disk_errors,
+            help_text="Disk-layer faults absorbed as misses.",
+            op=op,
+        )
+
+    def _remember(self, key: Hashable, value: Any) -> None:
+        self._entries[key] = value
         self._entries.move_to_end(key)
-        while len(self._entries) > self._max_entries:
+        while len(self._entries) > self.max_entries:
             self._entries.popitem(last=False)
             self.stats.evictions += 1
             observability().count(
-                "opcache_evictions_total",
+                self.metrics.evictions,
                 help_text="LRU evictions from the in-memory layer.",
             )
 
-    def _disk_path(self, key: str) -> str:
-        return os.path.join(self._disk_dir, f"{key}.json")
+    def _disk_name(self, key: Hashable) -> str:
+        """File stem of ``key``'s disk entry (the key itself here)."""
+        return key
 
-    def _disk_get(self, key: str) -> Optional[SteadyState]:
+    def _disk_path(self, key: Hashable) -> str:
+        return os.path.join(self._disk_dir, f"{self._disk_name(key)}.json")
+
+    def _disk_get(self, key: Hashable) -> Optional[Any]:
         if self._disk_dir is None:
             return None
         path = self._disk_path(key)
-        if not os.path.exists(path):
-            return None
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 payload = json.load(fh)
-            return decode_steady_state(payload["state"])
-        except (OSError, ValueError, KeyError, TypeError):
+            encoded = payload["result"]
+            if _payload_checksum(encoded) != payload["checksum"]:
+                raise ValueError("checksum mismatch")
+            value = _decode(encoded)
+            if not isinstance(value, self.value_type):
+                raise TypeError(
+                    f"payload decodes to {type(value).__name__}, "
+                    f"expected {self.value_type.__name__}"
+                )
+            return value
+        except FileNotFoundError:
+            return None
+        except OSError:
             self.stats.disk_errors += 1
             self._record_disk_error("read")
             return None
+        except (ValueError, KeyError, TypeError):
+            # Torn, truncated, garbage or checksum-failing: the file is bad.
+            self._quarantine(path)
+            return None
 
-    def _disk_put(self, key: str, state: SteadyState) -> None:
+    def _quarantine(self, path: str) -> None:
+        """Count one corrupt disk entry and move it out of the namespace.
+
+        Renaming (not deleting) keeps the evidence for post-mortems while
+        guaranteeing the next lookup recomputes instead of re-decoding a
+        known-bad file.
+        """
+        self.stats.disk_errors += 1
+        self.stats.corrupt += 1
+        self._record_disk_error("read")
+        observability().count(
+            self.metrics.corrupt,
+            help_text=(
+                "Disk entries that failed validation (torn, truncated "
+                "or garbage) and were quarantined."
+            ),
+        )
+        try:
+            os.replace(path, path + QUARANTINE_SUFFIX)
+        except OSError:
+            pass
+
+    def _disk_put(self, key: Hashable, value: Any) -> None:
         if self._disk_dir is None:
             return
-        # The temp name carries the pid so shard/sweep workers sharing one
-        # cache directory never clobber each other's in-flight writes.
-        tmp = self._disk_path(key) + f".{os.getpid()}.tmp"
+        path = self._disk_path(key)
+        # The temp name carries the pid so workers sharing one cache
+        # directory never clobber each other's in-flight writes.
+        tmp = path + f".{os.getpid()}.tmp"
         try:
             os.makedirs(self._disk_dir, exist_ok=True)
-            payload = {"key": key, "state": encode_steady_state(state)}
+            encoded = _encode(value)
+            payload = {"checksum": _payload_checksum(encoded), "result": encoded}
             try:
                 with open(tmp, "w", encoding="utf-8") as fh:
                     json.dump(payload, fh)
-                os.replace(tmp, self._disk_path(key))
+                os.replace(tmp, path)
             finally:
                 # A dump that died mid-write (encoder TypeError, ENOSPC,
                 # kill between write and replace) must not strand the temp
@@ -346,3 +452,22 @@ class OperatingPointCache:
         except (OSError, TypeError, ValueError):
             self.stats.disk_errors += 1
             self._record_disk_error("write")
+            return
+        if self._corrupt_every:
+            self._writes_since_armed += 1
+            if self._writes_since_armed % self._corrupt_every == 0:
+                self._tear(path)
+
+    def _tear(self, path: str) -> None:
+        """Truncate a just-written entry mid-payload (the armed fault)."""
+        try:
+            size = os.path.getsize(path)
+            with open(path, "r+b") as fh:
+                fh.truncate(max(1, size // 2))
+        except OSError:
+            return
+        observability().count(
+            "faults_injected_total",
+            help_text="Fault injections applied, by fault kind.",
+            kind="cache_fault",
+        )

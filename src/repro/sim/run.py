@@ -23,7 +23,7 @@ from ..config import ServerConfig
 from ..guardband import GuardbandMode
 from ..workloads.profile import WorkloadProfile
 from ..workloads.scaling import RuntimeModel, SocketShare
-from .results import RunResult, SteadyState
+from .results import RunResult
 from .server import Power720Server, ServerOperatingPoint
 
 
@@ -150,31 +150,4 @@ def measure_placement(
         server=server,
         runtime_model=runtime_model,
         f_target=f_target,
-    )
-
-
-def _steady_state(
-    server: Power720Server,
-    profile: WorkloadProfile,
-    share: SocketShare,
-    mode: GuardbandMode,
-    n_active: int,
-    point: ServerOperatingPoint,
-    runtime: RuntimeModel,
-) -> SteadyState:
-    """Wrap an operating point with runtime estimate and active frequency."""
-    frequency = active_mean_frequency(point)
-    execution_time = runtime.execution_time(
-        profile,
-        share,
-        frequency=frequency,
-        reference_frequency=server.config.chip.f_nominal,
-    )
-    return SteadyState(
-        workload=profile.name,
-        mode=mode,
-        n_active_cores=n_active,
-        point=point,
-        execution_time=execution_time,
-        active_frequency=frequency,
     )

@@ -7,7 +7,7 @@ from repro import GuardbandMode, build_server, measure, sweep
 from repro.core.evaluate import measure_scheduled
 from repro.core.placement import Placement, ThreadGroup
 from repro.errors import SchedulingError
-from repro.sim.batch import SweepRunner
+from repro.sim.batch import SweepRunner, SweepTask
 from repro.sim.cache import OperatingPointCache
 from repro.sim.run import measure_consolidated, measure_placement
 from repro.workloads.scaling import SocketShare
@@ -98,6 +98,31 @@ class TestVariantEquivalence:
         measure("raytrace", n_threads=8, server=unified_server)
         unified = measure("raytrace", n_threads=1, server=unified_server)
         assert legacy.adaptive.point.chip_power == unified.adaptive.point.chip_power
+
+    @pytest.mark.parametrize("variant", ["consolidated", "placement", "schedule"])
+    def test_static_mode_static_half_is_the_first_settle(self, raytrace, variant):
+        # mode="static" settles STATIC twice; ``static`` is the first
+        # settle on the fresh server, i.e. a one-settle STATIC batch task.
+        plan = Placement(
+            groups=((ThreadGroup(raytrace, 2),), (ThreadGroup(raytrace, 1),))
+        )
+        selector, task = {
+            "consolidated": (
+                dict(n_threads=3),
+                SweepTask.consolidated(raytrace, 3, GuardbandMode.STATIC),
+            ),
+            "placement": (
+                dict(placement=(2, 1)),
+                SweepTask.placement(raytrace, (2, 1), GuardbandMode.STATIC),
+            ),
+            "schedule": (
+                dict(schedule=plan),
+                SweepTask.scheduled(plan, raytrace, GuardbandMode.STATIC),
+            ),
+        }[variant]
+        result = measure(raytrace, mode="static", **selector)
+        (reference,) = SweepRunner(cache=OperatingPointCache()).run_results([task])
+        assert result.static.point == reference.static.point
 
 
 class TestSelectorValidation:

@@ -6,12 +6,16 @@ tick), so a damaged cache directory can never take down a sweep.
 """
 
 import json
+import os
 
 import pytest
 
 from repro.api import measure
+from repro.guardband import GuardbandMode
 from repro.obs import Observability, install
-from repro.sim.cache import OperatingPointCache
+from repro.sim.batch import SweepRunner, SweepTask
+from repro.sim.cache import OperatingPointCache, encode_steady_state
+from repro.workloads import get_profile
 
 
 @pytest.fixture(scope="module")
@@ -77,6 +81,30 @@ class TestDiskFaults:
             )
         assert disk_cache.get("k") is None
         assert disk_cache.stats.disk_errors == 1
+
+    def test_pre_checksum_entry_is_quarantined_and_recomputed(self, tmp_path):
+        # An entry in the format written before checksums existed
+        # ({"key", "state"}) is quarantined once and recomputed.
+        task = SweepTask.consolidated(
+            get_profile("raytrace"), 1, GuardbandMode.STATIC
+        )
+        disk_dir = str(tmp_path / "cache")
+        writer = SweepRunner(cache=OperatingPointCache(disk_dir=disk_dir))
+        (expected,) = writer.run_results([task])
+        (name,) = os.listdir(disk_dir)
+        key = name[: -len(".json")]
+        with open(os.path.join(disk_dir, name), "w") as fh:
+            json.dump(
+                {"key": key, "state": encode_steady_state(expected.static)}, fh
+            )
+        cache = OperatingPointCache(disk_dir=disk_dir)
+        (result,) = SweepRunner(cache=cache).run_results([task])
+        assert result == expected
+        assert cache.stats.corrupt == 1
+        assert cache.stats.stores == 1
+        assert os.path.exists(os.path.join(disk_dir, name + ".corrupt"))
+        # The recomputed entry was rewritten in the checksummed format.
+        assert OperatingPointCache(disk_dir=disk_dir).get(key) == expected.static
 
     def test_write_failure_is_absorbed(self, tmp_path, steady_state):
         # disk_dir collides with an existing *file*: every disk write fails

@@ -51,6 +51,25 @@ def placement() -> Placement:
     )
 
 
+def _settle_capped_linear(sim, placement, mode, cap_w):
+    """Reference linear descending cap walk (pre-bisection semantics).
+
+    The adjudicator for the equivalence property below:
+    ``sim._settle_capped`` must select the exact same point for every
+    cap and mode.
+    """
+    result = sim._settle(placement, mode)
+    if cap_w is None or result.adaptive.point.server_power <= cap_w:
+        return result, False
+    for frequency in sim._cap_walk_frequencies():
+        if frequency >= result.adaptive.point.min_frequency:
+            continue  # not slower than the current settle
+        result = sim._settle(placement, mode, frequency)
+        if result.adaptive.point.server_power <= cap_w:
+            break
+    return result, True
+
+
 def _sweep_caps(sim, placement, mode):
     """Cap values probing every decision boundary of the DVFS table."""
     uncapped = sim._settle(placement, mode)
@@ -73,8 +92,8 @@ class TestBisectionMatchesLinearWalk:
     def test_full_table_sweep(self, sim, placement, mode):
         for cap_w in _sweep_caps(sim, placement, mode):
             fast, fast_throttled = sim._settle_capped(placement, mode, cap_w)
-            ref, ref_throttled = sim._settle_capped_linear(
-                placement, mode, cap_w
+            ref, ref_throttled = _settle_capped_linear(
+                sim, placement, mode, cap_w
             )
             assert fast_throttled == ref_throttled, f"cap={cap_w}"
             # Settles are cached by coordinate, so "the same selected

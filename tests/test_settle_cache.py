@@ -16,6 +16,7 @@ from repro.fleet.settle_cache import (
     ensure_settle_cache_dir,
     fleet_settle_cache,
 )
+from repro.sim.cache import OperatingPointCache
 from repro.sim.results import RunResult
 
 #: Small but non-trivial fleet day for the identity tests.
@@ -289,6 +290,18 @@ class TestConcurrentWriters:
         assert not any(n.endswith(".tmp") for n in names)
 
 
+@pytest.fixture(params=["sweep", "fleet"])
+def store(request, settled):
+    """``(cache class, key of part, stored value)`` for both cache classes.
+
+    The sweep and fleet caches share one disk layer; the corruption tests
+    below run over each.
+    """
+    if request.param == "sweep":
+        return OperatingPointCache, (lambda part: f"k{part}"), settled.adaptive
+    return FleetSettleCache, (lambda part: ("k", part)), settled
+
+
 class TestArmedCorruption:
     """The ``cache_fault`` chaos hook: deterministic torn writes.
 
@@ -297,50 +310,53 @@ class TestArmedCorruption:
     quarantine the file, count it, and recompute — never serve it.
     """
 
-    def test_arm_returns_previous_and_validates(self, tmp_path):
-        cache = FleetSettleCache(max_entries=4, disk_dir=str(tmp_path))
+    def test_arm_returns_previous_and_validates(self, store, tmp_path):
+        cache_cls, _, _ = store
+        cache = cache_cls(max_entries=4, disk_dir=str(tmp_path))
         assert cache.arm_corruption(3) is None
         assert cache.arm_corruption(None) == 3
         with pytest.raises(ValueError):
             cache.arm_corruption(0)
 
-    def test_torn_write_is_quarantined_and_counted(self, settled, tmp_path):
+    def test_torn_write_is_quarantined_and_counted(self, store, tmp_path):
         from repro.obs import Observability, install, observability
 
-        writer = FleetSettleCache(max_entries=4, disk_dir=str(tmp_path))
+        cache_cls, key, value = store
+        writer = cache_cls(max_entries=4, disk_dir=str(tmp_path))
         writer.arm_corruption(1)
-        writer.put(("torn",), settled)
+        writer.put(key("torn"), value)
         # The writer's own memory layer still hits — tearing only
         # damages the disk copy.
-        assert writer.get(("torn",)) is settled
-        reader = FleetSettleCache(max_entries=4, disk_dir=str(tmp_path))
+        assert writer.get(key("torn")) is value
+        reader = cache_cls(max_entries=4, disk_dir=str(tmp_path))
         previous = install(Observability(enabled=True))
         try:
-            assert reader.get(("torn",)) is None
+            assert reader.get(key("torn")) is None
             rendered = observability().metrics.render_text()
         finally:
             install(previous)
         assert reader.stats.corrupt == 1
         assert reader.stats.misses == 1
-        assert "fleet_settle_cache_corrupt_total" in rendered
+        assert cache_cls.metrics.corrupt in rendered
         names = [p.name for p in tmp_path.iterdir()]
         assert any(n.endswith(".corrupt") for n in names)
         assert not any(n.endswith(".json") for n in names)
         # A clean rewrite (reader is unarmed) heals the entry in place.
-        reader.put(("torn",), settled)
-        fresh = FleetSettleCache(max_entries=4, disk_dir=str(tmp_path))
-        assert fresh.get(("torn",)) == settled
+        reader.put(key("torn"), value)
+        fresh = cache_cls(max_entries=4, disk_dir=str(tmp_path))
+        assert fresh.get(key("torn")) == value
         assert fresh.stats.corrupt == 0
 
     def test_every_n_cadence_tears_exactly_the_nth_writes(
-        self, settled, tmp_path
+        self, store, tmp_path
     ):
-        writer = FleetSettleCache(max_entries=8, disk_dir=str(tmp_path))
+        cache_cls, key, value = store
+        writer = cache_cls(max_entries=8, disk_dir=str(tmp_path))
         writer.arm_corruption(2)
         for i in range(4):
-            writer.put(("k", i), settled)
-        reader = FleetSettleCache(max_entries=8, disk_dir=str(tmp_path))
-        served = [reader.get(("k", i)) for i in range(4)]
+            writer.put(key(i), value)
+        reader = cache_cls(max_entries=8, disk_dir=str(tmp_path))
+        served = [reader.get(key(i)) for i in range(4)]
         # Writes 2 and 4 (1-indexed) were torn: exactly two survive.
         assert [r is not None for r in served] == [True, False, True, False]
         assert reader.stats.corrupt == 2
