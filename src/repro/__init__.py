@@ -35,12 +35,7 @@ from .config import (
 from .faults import FaultInjector, FaultPlan, chaos_plan, injected, run_chaos
 from .guardband import GuardbandController, GuardbandMode
 from .sim import Power720Server, RunResult, SteadyState
-from .sim.run import (
-    build_server,
-    core_scaling_sweep,
-    measure_consolidated,
-    measure_placement,
-)
+from .sim.run import build_server
 from .workloads import (
     SCALABLE_BENCHMARKS,
     WorkloadProfile,
@@ -70,12 +65,9 @@ __all__ = [
     "all_profiles",
     "build_server",
     "chaos_plan",
-    "core_scaling_sweep",
     "get_profile",
     "injected",
     "measure",
-    "measure_consolidated",
-    "measure_placement",
     "profile_names",
     "run_chaos",
     "sweep",

@@ -91,7 +91,9 @@ def _sweep(
     paper's single-processor measurements in Sec. 3.
     """
     profile = get_profile(workload)
-    results = runner.core_scaling_sweep(profile, mode, core_counts, config)
+    results = runner.run_results(
+        core_scaling_tasks(profile, mode, core_counts), config
+    )
     return _series_from_results(workload, mode, core_counts, results)
 
 

@@ -1,11 +1,8 @@
 """The public measurement facade: one ``measure``, one ``sweep``.
 
-Historically the three measurement procedures lived in three places —
-:func:`repro.sim.run.measure_consolidated` (Sec. 3 characterization),
-:func:`repro.sim.run.measure_placement` (arbitrary two-socket splits) and
-:func:`repro.core.evaluate.measure_scheduled` (contention-adjusted
-scheduler decisions) — and callers had to know which module owned which
-variant.  This facade unifies them behind keyword-only selectors::
+Every result of the paper is a static-vs-adaptive settle of one of three
+placements, and :func:`measure` selects which with keyword-only
+selectors::
 
     from repro import GuardbandMode, measure, sweep
 
@@ -21,14 +18,15 @@ variant.  This facade unifies them behind keyword-only selectors::
     # The Figs. 3/4 core-scaling sweep, batched through the shared runner:
     results = sweep("raytrace", mode="undervolt")
 
-The legacy functions remain as thin delegating wrappers, so existing code
-and results are bit-identical; new code should import from here (or from
-the package root, which re-exports both names).
+Both settle through the placer/settler pair the batch executor uses
+(:func:`repro.sim.batch.place_task` / :func:`~repro.sim.batch.settle_placed`),
+so a facade result and a batch result of the same task agree.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from contextlib import nullcontext
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from .chip.dvfs import DvfsTable
@@ -191,24 +189,6 @@ def measure(
     :class:`~repro.errors.SchedulingError` when even the lowest point
     exceeds the budget.
     """
-    if fault_plan is not None:
-        with injected(fault_plan):
-            return measure(
-                workload,
-                mode=mode,
-                n_threads=n_threads,
-                placement=placement,
-                schedule=schedule,
-                keep_on=keep_on,
-                threads_per_core=threads_per_core,
-                server=server,
-                config=config,
-                seed=seed,
-                runtime_model=runtime_model,
-                f_target=f_target,
-                power_cap=power_cap,
-                pdn_backend=pdn_backend,
-            )
     config = _resolve_backend_config(config, pdn_backend, server)
     if power_cap is not None:
         _check_cap(power_cap, f_target)
@@ -266,14 +246,17 @@ def measure(
             adaptive=adaptive,
         )
 
-    if power_cap is None:
-        return settle(task)
-    return _fit_cap(
-        lambda frequency: settle(dataclasses.replace(task, f_target=frequency)),
-        settle(task),
-        power_cap,
-        config,
-    )
+    with injected(fault_plan) if fault_plan is not None else nullcontext():
+        if power_cap is None:
+            return settle(task)
+        return _fit_cap(
+            lambda frequency: settle(
+                dataclasses.replace(task, f_target=frequency)
+            ),
+            settle(task),
+            power_cap,
+            config,
+        )
 
 
 # ----------------------------------------------------------------------
@@ -316,24 +299,6 @@ def sweep(
     budget (W) per point by walking that point down the DVFS table
     until the measured adaptive server power fits (see ``measure``).
     """
-    if fault_plan is not None:
-        if runner is None and workers is None and cache_dir is None:
-            runner = SweepRunner(cache=OperatingPointCache())
-        with injected(fault_plan):
-            return sweep(
-                workload,
-                mode=mode,
-                core_counts=core_counts,
-                threads_per_core=threads_per_core,
-                f_target=f_target,
-                runtime_params=runtime_params,
-                config=config,
-                runner=runner,
-                workers=workers,
-                cache_dir=cache_dir,
-                power_cap=power_cap,
-                pdn_backend=pdn_backend,
-            )
     config = _resolve_backend_config(config, pdn_backend)
     if power_cap is not None:
         _check_cap(power_cap, f_target)
@@ -341,7 +306,11 @@ def sweep(
     guardband_mode = _resolve_mode(mode)
     if runner is None:
         if workers is None and cache_dir is None:
-            runner = default_runner()
+            runner = (
+                default_runner()
+                if fault_plan is None
+                else SweepRunner(cache=OperatingPointCache())
+            )
         else:
             runner = SweepRunner(
                 max_workers=1 if workers is None else workers,
@@ -359,18 +328,19 @@ def sweep(
         f_target=f_target,
         runtime_params=runtime_params,
     )
-    results = runner.run_results(tasks, config)
-    if power_cap is None:
-        return results
-    return [
-        _fit_cap(
-            lambda frequency, task=task: runner.run_results(
-                [dataclasses.replace(task, f_target=frequency)], config
-            )[0],
-            result,
-            power_cap,
-            config,
-            where=f" for {profile.name} on {task.n_threads} threads",
-        )
-        for task, result in zip(tasks, results)
-    ]
+    with injected(fault_plan) if fault_plan is not None else nullcontext():
+        results = runner.run_results(tasks, config)
+        if power_cap is None:
+            return results
+        return [
+            _fit_cap(
+                lambda frequency, task=task: runner.run_results(
+                    [dataclasses.replace(task, f_target=frequency)], config
+                )[0],
+                result,
+                power_cap,
+                config,
+                where=f" for {profile.name} on {task.n_threads} threads",
+            )
+            for task, result in zip(tasks, results)
+        ]

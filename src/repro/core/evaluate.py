@@ -1,13 +1,18 @@
 """Placement evaluation: settle a scheduling decision on the server.
 
-:func:`measure_scheduled` realizes a :class:`~repro.core.placement.Placement`
-with *contention-adjusted* thread activity — threads stalled on a saturated
-memory subsystem switch less logic, so their dynamic power drops with the
-same factor that stretches their execution.  This coupling is what makes
-the Fig. 14 extremes come out right: spreading a bandwidth-starved workload
-across sockets speeds it up *and* raises its chip activity (possibly above
-the consolidated power, as the paper observes for radix and fft), while the
-shorter runtime still wins on energy.
+:func:`apply_with_contention` realizes a
+:class:`~repro.core.placement.Placement` with *contention-adjusted* thread
+activity — threads stalled on a saturated memory subsystem switch less
+logic, so their dynamic power drops with the same factor that stretches
+their execution.  This coupling is what makes the Fig. 14 extremes come
+out right: spreading a bandwidth-starved workload across sockets speeds it
+up *and* raises its chip activity (possibly above the consolidated power,
+as the paper observes for radix and fft), while the shorter runtime still
+wins on energy.
+
+A single-workload decision is measured as a static-vs-adaptive pair with
+``repro.measure(profile, schedule=placement, ...)``; :func:`measure_mixed`
+settles a colocated mix in one mode with a per-workload breakdown.
 """
 
 from __future__ import annotations
@@ -17,7 +22,6 @@ from typing import TYPE_CHECKING, Dict, Optional
 
 from ..errors import SchedulingError
 from ..guardband import GuardbandMode
-from ..sim.results import RunResult
 from ..sim.run import active_mean_frequency
 from ..workloads.profile import WorkloadProfile
 from ..workloads.scaling import RuntimeModel
@@ -43,35 +47,6 @@ def apply_with_contention(
             server.place(socket_id, adjusted, group.n_threads, threads_per_core=tpc)
     if placement.keep_on is not None:
         server.gate_unused(list(placement.keep_on))
-
-
-def measure_scheduled(
-    server: "Power720Server",
-    placement: Placement,
-    profile: WorkloadProfile,
-    mode: GuardbandMode,
-    runtime_model: Optional[RuntimeModel] = None,
-    f_target: Optional[float] = None,
-) -> RunResult:
-    """Static-vs-adaptive measurement pair for one scheduling decision.
-
-    ``profile`` names the workload whose runtime/energy metrics the result
-    carries (placements hold a single workload in the scheduler
-    comparisons; mixed placements should be measured per workload).
-
-    Thin wrapper over :func:`repro.api.measure` (the canonical
-    implementation); kept for backwards compatibility.
-    """
-    from ..api import measure
-
-    return measure(
-        profile,
-        mode=mode,
-        schedule=placement,
-        server=server,
-        runtime_model=runtime_model,
-        f_target=f_target,
-    )
 
 
 @dataclass(frozen=True)
@@ -121,11 +96,11 @@ def measure_mixed(
 ) -> MixedMeasurement:
     """Settle a placement that colocates several workloads.
 
-    Unlike :func:`measure_scheduled` (single workload, static-vs-adaptive
-    pair), this measures one mode and reports a per-workload breakdown —
-    the view a colocation study needs: everyone shares the same chip power
-    and frequency, but each workload's runtime stretches by its own
-    contention and sharing factors.
+    Unlike ``repro.measure(..., schedule=placement)`` (single workload,
+    static-vs-adaptive pair), this measures one mode and reports a
+    per-workload breakdown — the view a colocation study needs: everyone
+    shares the same chip power and frequency, but each workload's runtime
+    stretches by its own contention and sharing factors.
     """
     runtime = runtime_model or RuntimeModel()
     apply_with_contention(server, placement, runtime)

@@ -740,25 +740,6 @@ class SweepRunner:
         """:meth:`run`, returning just the results."""
         return list(self.run(tasks, config, seed_root=seed_root).results)
 
-    # ------------------------------------------------------------------
-    # Convenience wrappers mirroring the serial helpers in sim.run
-    # ------------------------------------------------------------------
-    def core_scaling_sweep(
-        self,
-        profile: WorkloadProfile,
-        mode: GuardbandMode,
-        core_counts: Sequence[int] = range(1, 9),
-        config: Optional[ServerConfig] = None,
-        threads_per_core: int = 1,
-    ) -> List[RunResult]:
-        """Batched equivalent of :func:`repro.sim.run.core_scaling_sweep`."""
-        return self.run_results(
-            core_scaling_tasks(
-                profile, mode, core_counts, threads_per_core=threads_per_core
-            ),
-            config,
-        )
-
     def timings_summary(self) -> str:
         """Cumulative summary across every batch this runner executed."""
         total = sum(r.wall_time for r in self.reports)

@@ -7,6 +7,7 @@ from typing import Optional
 
 from ..guardband import GuardbandMode
 from ..workloads.profile import WorkloadProfile
+from .run import active_mean_frequency
 from .server import ServerOperatingPoint
 
 
@@ -69,10 +70,10 @@ class RunResult:
     @property
     def frequency_boost_fraction(self) -> float:
         """Relative clock gain of the adaptive mode over the static target."""
-        static_freq = self.static.active_frequency or _active_mean_frequency(
+        static_freq = self.static.active_frequency or active_mean_frequency(
             self.static.point
         )
-        adaptive_freq = self.adaptive.active_frequency or _active_mean_frequency(
+        adaptive_freq = self.adaptive.active_frequency or active_mean_frequency(
             self.adaptive.point
         )
         return adaptive_freq / static_freq - 1.0
@@ -97,11 +98,3 @@ class RunResult:
         if self.static.edp is None or self.adaptive.edp is None:
             raise ValueError("EDP requires runtime estimates")
         return 1.0 - self.adaptive.edp / self.static.edp
-
-
-def _active_mean_frequency(point: ServerOperatingPoint) -> float:
-    """Mean clock of cores actually running threads (falls back to all)."""
-    freqs = []
-    for socket_point in point.sockets:
-        freqs.extend(socket_point.solution.frequencies)
-    return sum(freqs) / len(freqs)

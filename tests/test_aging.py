@@ -6,8 +6,7 @@ from repro.chip.aging import AgingModel, aged_chip_config, aged_server_config
 from repro.config import ChipConfig, ServerConfig
 from repro.errors import ConfigError
 from repro.guardband import GuardbandMode
-from repro.sim.run import build_server, measure_consolidated
-from repro.workloads import get_profile
+from repro import measure
 
 
 @pytest.fixture
@@ -95,9 +94,8 @@ class TestLifetimeBehavior:
     def _saving_at(self, years: float) -> float:
         model = AgingModel()
         config = aged_server_config(ServerConfig(), model, years)
-        server = build_server(config)
-        result = measure_consolidated(
-            server, get_profile("raytrace"), 2, GuardbandMode.UNDERVOLT
+        result = measure(
+            "raytrace", n_threads=2, mode=GuardbandMode.UNDERVOLT, config=config
         )
         s0s = result.static.point.socket_point(0)
         s0a = result.adaptive.point.socket_point(0)

@@ -3,14 +3,11 @@
 import pytest
 
 import repro
-from repro import GuardbandMode, build_server, measure, sweep
-from repro.core.evaluate import measure_scheduled
+from repro import GuardbandMode, Power720Server, build_server, measure, sweep
 from repro.core.placement import Placement, ThreadGroup
 from repro.errors import SchedulingError
-from repro.sim.batch import SweepRunner, SweepTask
+from repro.sim.batch import SweepRunner, SweepTask, core_scaling_tasks
 from repro.sim.cache import OperatingPointCache
-from repro.sim.run import measure_consolidated, measure_placement
-from repro.workloads.scaling import SocketShare
 
 
 class TestResolution:
@@ -42,62 +39,29 @@ class TestResolution:
 
 
 class TestVariantEquivalence:
-    """The facade is the canonical implementation; the legacy entry points
-    delegate to it.  Same seed + same placement must give bit-identical
-    results through either path."""
-
-    def test_consolidated_matches_legacy(self, raytrace):
-        legacy = measure_consolidated(
-            build_server(), raytrace, 4, GuardbandMode.UNDERVOLT
-        )
-        unified = measure("raytrace", n_threads=4, mode="undervolt")
-        assert legacy.adaptive.point.chip_power == unified.adaptive.point.chip_power
-        assert legacy.static.execution_time == unified.static.execution_time
-        assert legacy.n_active_cores == unified.n_active_cores
-
-    def test_placement_matches_legacy(self, raytrace):
-        legacy = measure_placement(
-            build_server(), raytrace, SocketShare((2, 2)),
-            GuardbandMode.UNDERVOLT, keep_on=(2, 2),
-        )
-        unified = measure("raytrace", placement=(2, 2), keep_on=(2, 2))
-        assert legacy.adaptive.point.chip_power == unified.adaptive.point.chip_power
-        assert legacy.adaptive.active_frequency == unified.adaptive.active_frequency
-
-    def test_schedule_matches_legacy(self, raytrace):
-        plan = Placement(
-            groups=((ThreadGroup(raytrace, 2),), (ThreadGroup(raytrace, 2),))
-        )
-        legacy = measure_scheduled(
-            build_server(), plan, raytrace, GuardbandMode.UNDERVOLT
-        )
-        unified = measure(raytrace, schedule=plan)
-        assert legacy.adaptive.point.chip_power == unified.adaptive.point.chip_power
-        assert legacy.adaptive.execution_time == unified.adaptive.execution_time
+    """Same seed + same placement must give bit-identical results however
+    the server is supplied, and each variant's static half must be the
+    batch executor's first settle."""
 
     def test_seed_is_plumbed_to_the_server_build(self, raytrace):
-        legacy = measure_consolidated(
-            build_server(seed=11), raytrace, 4, GuardbandMode.UNDERVOLT
+        prebuilt = measure(
+            "raytrace", n_threads=4, server=Power720Server(seed=11)
         )
-        unified = measure("raytrace", n_threads=4, seed=11)
+        seeded = measure("raytrace", n_threads=4, seed=11)
         assert (
-            legacy.adaptive.point.socket_point(0).solution
-            == unified.adaptive.point.socket_point(0).solution
+            prebuilt.adaptive.point.socket_point(0).solution
+            == seeded.adaptive.point.socket_point(0).solution
         )
 
     def test_server_reuse_matches_legacy_reuse(self, raytrace):
-        # Reused servers keep thermal state across clear(); the facade must
-        # mirror the legacy path exactly under the same call sequence.
-        legacy_server, unified_server = build_server(), build_server()
-        measure_consolidated(
-            legacy_server, raytrace, 8, GuardbandMode.UNDERVOLT
-        )
-        legacy = measure_consolidated(
-            legacy_server, raytrace, 1, GuardbandMode.UNDERVOLT
-        )
-        measure("raytrace", n_threads=8, server=unified_server)
-        unified = measure("raytrace", n_threads=1, server=unified_server)
-        assert legacy.adaptive.point.chip_power == unified.adaptive.point.chip_power
+        # Reused servers keep thermal state across clear(); the same call
+        # sequence on two identical servers must give identical results.
+        first_server, second_server = build_server(), build_server()
+        measure(raytrace, n_threads=8, server=first_server)
+        first = measure(raytrace, n_threads=1, server=first_server)
+        measure(raytrace, n_threads=8, server=second_server)
+        second = measure(raytrace, n_threads=1, server=second_server)
+        assert first.adaptive.point.chip_power == second.adaptive.point.chip_power
 
     @pytest.mark.parametrize("variant", ["consolidated", "placement", "schedule"])
     def test_static_mode_static_half_is_the_first_settle(self, raytrace, variant):
@@ -142,17 +106,18 @@ class TestSelectorValidation:
 
 class TestSweepFacade:
     def test_sweep_matches_legacy_runner_path(self, raytrace):
+        # sweep() is the runner driven with the core-scaling task grid.
         unified = sweep(
             "raytrace",
             core_counts=range(1, 4),
             runner=SweepRunner(max_workers=1, cache=OperatingPointCache()),
         )
-        legacy_runner = SweepRunner(max_workers=1, cache=OperatingPointCache())
-        legacy = legacy_runner.core_scaling_sweep(
-            raytrace, GuardbandMode.UNDERVOLT, range(1, 4)
+        direct_runner = SweepRunner(max_workers=1, cache=OperatingPointCache())
+        direct = direct_runner.run_results(
+            core_scaling_tasks(raytrace, GuardbandMode.UNDERVOLT, range(1, 4))
         )
         assert len(unified) == 3
-        for mine, theirs in zip(unified, legacy):
+        for mine, theirs in zip(unified, direct):
             assert (
                 mine.adaptive.point.chip_power
                 == theirs.adaptive.point.chip_power

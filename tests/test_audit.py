@@ -4,15 +4,16 @@ import dataclasses
 
 import pytest
 
+from repro import measure
 from repro.config import DidtConfig, PdnConfig, ServerConfig
 from repro.guardband import GuardbandMode, audit_operating_point
-from repro.sim.run import build_server, measure_consolidated
+from repro.sim.run import build_server
 from repro.workloads import get_profile
 
 
 def _audit(server, profile_name, n_threads, mode):
     profile = get_profile(profile_name)
-    result = measure_consolidated(server, profile, n_threads, mode)
+    result = measure(profile, n_threads=n_threads, mode=mode, server=server)
     solution = result.adaptive.point.socket_point(0).solution
     return audit_operating_point(
         server.sockets[0],

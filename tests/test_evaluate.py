@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro import measure
 from repro.core import ConsolidationScheduler, LoadlineBorrowingScheduler
-from repro.core.evaluate import apply_with_contention, measure_scheduled
+from repro.core.evaluate import apply_with_contention
 from repro.guardband import GuardbandMode
 from repro.workloads import get_profile
 from repro.workloads.scaling import RuntimeModel
@@ -35,8 +36,8 @@ class TestApplyWithContention:
 class TestMeasureScheduled:
     def test_returns_paired_measurement(self, server, raytrace):
         placement = ConsolidationScheduler(server.config).schedule(raytrace, 4, 8)
-        result = measure_scheduled(
-            server, placement, raytrace, GuardbandMode.UNDERVOLT
+        result = measure(
+            raytrace, schedule=placement, mode=GuardbandMode.UNDERVOLT, server=server
         )
         assert result.static.mode is GuardbandMode.STATIC
         assert result.adaptive.mode is GuardbandMode.UNDERVOLT
@@ -45,11 +46,11 @@ class TestMeasureScheduled:
     def test_borrowing_beats_consolidation_at_eight_cores(self, server, raytrace):
         cons = ConsolidationScheduler(server.config).schedule(raytrace, 8, 8)
         borr = LoadlineBorrowingScheduler(server.config).schedule(raytrace, 8, 8)
-        p_cons = measure_scheduled(
-            server, cons, raytrace, GuardbandMode.UNDERVOLT
+        p_cons = measure(
+            raytrace, schedule=cons, mode=GuardbandMode.UNDERVOLT, server=server
         ).adaptive.chip_power
-        p_borr = measure_scheduled(
-            server, borr, raytrace, GuardbandMode.UNDERVOLT
+        p_borr = measure(
+            raytrace, schedule=borr, mode=GuardbandMode.UNDERVOLT, server=server
         ).adaptive.chip_power
         assert p_borr < p_cons
 
@@ -57,11 +58,11 @@ class TestMeasureScheduled:
         lu_ncb = get_profile("lu_ncb")
         cons = ConsolidationScheduler(server.config).schedule(lu_ncb, 8, 8)
         borr = LoadlineBorrowingScheduler(server.config).schedule(lu_ncb, 8, 8)
-        t_cons = measure_scheduled(
-            server, cons, lu_ncb, GuardbandMode.UNDERVOLT
+        t_cons = measure(
+            lu_ncb, schedule=cons, mode=GuardbandMode.UNDERVOLT, server=server
         ).adaptive.execution_time
-        t_borr = measure_scheduled(
-            server, borr, lu_ncb, GuardbandMode.UNDERVOLT
+        t_borr = measure(
+            lu_ncb, schedule=borr, mode=GuardbandMode.UNDERVOLT, server=server
         ).adaptive.execution_time
         assert t_borr > t_cons * 1.15
 
@@ -69,10 +70,10 @@ class TestMeasureScheduled:
         lbm = get_profile("lbm")
         cons = ConsolidationScheduler(server.config).schedule(lbm, 8, 8)
         borr = LoadlineBorrowingScheduler(server.config).schedule(lbm, 8, 8)
-        t_cons = measure_scheduled(
-            server, cons, lbm, GuardbandMode.UNDERVOLT
+        t_cons = measure(
+            lbm, schedule=cons, mode=GuardbandMode.UNDERVOLT, server=server
         ).adaptive.execution_time
-        t_borr = measure_scheduled(
-            server, borr, lbm, GuardbandMode.UNDERVOLT
+        t_borr = measure(
+            lbm, schedule=borr, mode=GuardbandMode.UNDERVOLT, server=server
         ).adaptive.execution_time
         assert t_borr < t_cons * 0.8

@@ -8,6 +8,7 @@ import dataclasses
 
 import pytest
 
+from repro import measure
 from repro.config import (
     ChipConfig,
     DidtConfig,
@@ -17,7 +18,7 @@ from repro.config import (
 )
 from repro.errors import ConvergenceError
 from repro.guardband import GuardbandMode
-from repro.sim.run import build_server, measure_consolidated
+from repro.sim.run import build_server
 from repro.workloads import get_profile
 
 
@@ -57,18 +58,16 @@ class TestFirmwareDegradedModes:
         only sit at the static rail — zero undervolt, no crash."""
         didt = dataclasses.replace(DidtConfig(), droop_single_core=0.200)
         config = ServerConfig(pdn=dataclasses.replace(PdnConfig(), didt=didt))
-        server = build_server(config)
-        result = measure_consolidated(
-            server, get_profile("raytrace"), 4, GuardbandMode.UNDERVOLT
+        result = measure(
+            "raytrace", n_threads=4, mode=GuardbandMode.UNDERVOLT, config=config
         )
         assert result.adaptive.point.socket_point(0).undervolt == 0.0
 
     def test_overclock_clamps_at_floor_under_huge_noise(self):
         didt = dataclasses.replace(DidtConfig(), droop_single_core=0.200)
         config = ServerConfig(pdn=dataclasses.replace(PdnConfig(), didt=didt))
-        server = build_server(config)
-        result = measure_consolidated(
-            server, get_profile("raytrace"), 8, GuardbandMode.OVERCLOCK
+        result = measure(
+            "raytrace", n_threads=8, mode=GuardbandMode.OVERCLOCK, config=config
         )
         freqs = result.adaptive.point.socket_point(0).solution.frequencies
         assert min(freqs) >= config.chip.f_min
@@ -76,9 +75,8 @@ class TestFirmwareDegradedModes:
     def test_tiny_guardband_yields_no_saving(self):
         """A 50 mV static guardband leaves nothing to harvest at load."""
         config = ServerConfig(guardband=GuardbandConfig(static_guardband=0.050))
-        server = build_server(config)
-        result = measure_consolidated(
-            server, get_profile("lu_cb"), 8, GuardbandMode.UNDERVOLT
+        result = measure(
+            "lu_cb", n_threads=8, mode=GuardbandMode.UNDERVOLT, config=config
         )
         assert result.adaptive.point.socket_point(0).undervolt == 0.0
 
@@ -87,24 +85,24 @@ class TestReducedPlatforms:
     def test_four_core_chip_works(self):
         chip = dataclasses.replace(ChipConfig(), n_cores=4)
         config = ServerConfig(chip=chip)
-        server = build_server(config)
-        result = measure_consolidated(
-            server, get_profile("raytrace"), 4, GuardbandMode.UNDERVOLT
+        result = measure(
+            "raytrace", n_threads=4, mode=GuardbandMode.UNDERVOLT, config=config
         )
         assert 0 < result.power_saving_fraction < 0.3
 
     def test_single_socket_server_works(self):
         config = ServerConfig(n_sockets=1)
-        server = build_server(config)
-        result = measure_consolidated(
-            server, get_profile("raytrace"), 2, GuardbandMode.UNDERVOLT
+        result = measure(
+            "raytrace", n_threads=2, mode=GuardbandMode.UNDERVOLT, config=config
         )
         assert result.adaptive.chip_power < result.static.chip_power
 
     def test_single_cpm_per_core_works(self):
         chip = dataclasses.replace(ChipConfig(), cpms_per_core=1)
-        server = build_server(ServerConfig(chip=chip))
-        result = measure_consolidated(
-            server, get_profile("raytrace"), 2, GuardbandMode.OVERCLOCK
+        result = measure(
+            "raytrace",
+            n_threads=2,
+            mode=GuardbandMode.OVERCLOCK,
+            config=ServerConfig(chip=chip),
         )
         assert result.frequency_boost_fraction > 0

@@ -37,7 +37,7 @@ class TestTopLevelExports:
             GuardbandMode,
             build_server,
             get_profile,
-            measure_consolidated,
+            measure,
         )
 
 
