@@ -17,56 +17,13 @@ measures, with an idle-but-clocked chip near 55 W.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import Sequence
 
 from ..config import ChipConfig
 
 #: Reference voltage for the leakage power normalization (V).
 LEAKAGE_VREF = 1.2
-
-#: Socket width at or above which :meth:`PowerModel.chip_power` switches
-#: from the per-core Python loop to the numpy array backend.  Profiling
-#: shows numpy's per-call overhead dominates at the POWER7+'s width of
-#: eight; the array path wins from roughly this width up.
-ARRAY_BACKEND_MIN_CORES = 16
-
-#: Process-wide backend override (see :func:`set_power_backend`).
-_BACKEND_OVERRIDE: Optional[str] = None
-
-#: Environment override, read when no programmatic override is set.
-BACKEND_ENV_VAR = "REPRO_POWER_BACKEND"
-
-_BACKENDS = ("scalar", "array")
-
-
-def set_power_backend(backend: Optional[str]) -> Optional[str]:
-    """Force the per-core evaluation backend process-wide.
-
-    ``"scalar"`` / ``"array"`` pin a backend regardless of socket width;
-    ``None`` restores width-based auto selection.  Returns the previous
-    override so tests can restore it.  Both backends are bit-identical
-    (enforced by test) — the switch only trades constant factors.
-    """
-    global _BACKEND_OVERRIDE
-    if backend is not None and backend not in _BACKENDS:
-        raise ValueError(
-            f"backend must be one of {_BACKENDS} or None, got {backend!r}"
-        )
-    previous = _BACKEND_OVERRIDE
-    _BACKEND_OVERRIDE = backend
-    return previous
-
-
-def power_backend_for(n_cores: int) -> str:
-    """The backend :meth:`PowerModel.chip_power` will use at this width."""
-    override = _BACKEND_OVERRIDE or os.environ.get(BACKEND_ENV_VAR)
-    if override in _BACKENDS:
-        return override
-    return "array" if n_cores >= ARRAY_BACKEND_MIN_CORES else "scalar"
 
 
 @dataclass(frozen=True)
@@ -167,10 +124,6 @@ class PowerModel:
                 f"per-core sequences must all have length {n}; got "
                 f"{len(activities)}/{len(voltages)}/{len(frequencies)}/{len(gated)}"
             )
-        if power_backend_for(n) == "array":
-            return self._chip_power_array(
-                activities, voltages, frequencies, gated, temperature
-            )
         core_dyn = []
         core_leak = []
         active = 0
@@ -190,66 +143,6 @@ class PowerModel:
         return PowerBreakdown(
             core_dynamic=tuple(core_dyn),
             core_leakage=tuple(core_leak),
-            uncore_dynamic=unc_dyn,
-            uncore_leakage=unc_leak,
-        )
-
-    def _chip_power_array(
-        self,
-        activities: Sequence[float],
-        voltages: Sequence[float],
-        frequencies: Sequence[float],
-        gated: Sequence[bool],
-        temperature: float,
-    ) -> PowerBreakdown:
-        """Vectorized :meth:`chip_power`, bit-identical to the loop.
-
-        Every elementwise float64 add/sub/mul/div is IEEE-identical to
-        its scalar counterpart, so those vectorize freely as long as the
-        operand order is preserved.  Two places need care:
-
-        * the leakage ``(V/Vref)**k`` stays a per-element libm ``pow`` —
-          numpy's SIMD ``power`` differs from CPython's in the last ulp
-          on ~5% of inputs, which would split the operating-point cache
-          and the event-log digest between backends;
-        * the uncore voltage/frequency means keep Python's sequential
-          ``sum`` — ``np.sum`` is pairwise and rounds differently.
-        """
-        cfg = self._config
-        act = np.asarray(activities, dtype=np.float64)
-        volt = np.asarray(voltages, dtype=np.float64)
-        freq = np.asarray(frequencies, dtype=np.float64)
-        gate = np.asarray(gated, dtype=bool)
-        ungated = ~gate
-        if bool(np.any(act[ungated] < 0)):
-            bad = float(act[ungated][act[ungated] < 0][0])
-            raise ValueError(f"activity must be >= 0, got {bad}")
-        dyn = cfg.core_ceff * act * volt * volt * freq
-        core_dyn = np.where(ungated, dyn, 0.0)
-        k = cfg.leakage_voltage_exponent
-        ratio = volt / LEAKAGE_VREF
-        v_scale = np.array([r ** k for r in ratio.tolist()], dtype=np.float64)
-        t_scale = max(
-            1.0 + cfg.leakage_temp_coeff * (temperature - cfg.leakage_temp_ref),
-            0.1,
-        )
-        leak = cfg.core_leakage_nominal * v_scale * t_scale
-        core_leak = np.where(ungated, leak, leak * cfg.power_gate_residual)
-        active = int(np.count_nonzero(ungated & (act > cfg.idle_activity)))
-        ungated_v = volt[ungated].tolist()
-        v_uncore = (
-            sum(ungated_v) / len(ungated_v) if ungated_v else max(voltages)
-        )
-        ungated_f = freq[ungated].tolist()
-        f_uncore = (
-            sum(ungated_f) / len(ungated_f) if ungated_f else cfg.f_min
-        )
-        unc_dyn, unc_leak = self.uncore_power(
-            active, v_uncore, f_uncore, temperature
-        )
-        return PowerBreakdown(
-            core_dynamic=tuple(core_dyn.tolist()),
-            core_leakage=tuple(core_leak.tolist()),
             uncore_dynamic=unc_dyn,
             uncore_leakage=unc_leak,
         )

@@ -533,7 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "suite",
         choices=("fleet", "region", "sweep", "scenario", "cap", "gate"),
-        help="fleet: time the fleet day (scalar baseline vs sharded); "
+        help="fleet: time the fleet day (monolithic baseline vs sharded); "
         "region: time a region-scale day against the shared settle "
         "cache (cold vs warm, digest checked across shard counts); "
         "sweep: time the Fig. 13 borrowing build; scenario: time a "
@@ -585,7 +585,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--no-baseline",
         action="store_true",
-        help="skip the scalar monolithic baseline (no speedup recorded)",
+        help="skip the monolithic baseline (no speedup recorded)",
     )
     bench.add_argument(
         "--profile",
@@ -1144,7 +1144,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
               "(identical across shard counts)")
         if "baseline_wall_seconds" in report:
             print(
-                f"  scalar baseline: {report['baseline_wall_seconds']:.3f}s"
+                f"  monolithic baseline: {report['baseline_wall_seconds']:.3f}s"
                 f"  -> speedup x{report['speedup']:.2f}"
             )
         _maybe_profile(out)

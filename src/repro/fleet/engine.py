@@ -256,7 +256,7 @@ def clear_fleet_memos() -> None:
     """Reset every process-wide fleet measurement memo.
 
     Timing code uses this to guarantee a genuinely cold run inside a
-    warm process (the scalar baseline of ``repro bench fleet``); tests
+    warm process (the monolithic baseline of ``repro bench fleet``); tests
     use it to observe the instrumentation a cold run emits.  Results
     are unaffected either way — the memos only skip recomputation of
     pure functions.  The shared settle cache drops its *memory* layer

@@ -18,7 +18,7 @@ and recovery behaviour.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, Optional
 
 from ..config import ServerConfig
 from ..errors import ConvergenceError
@@ -66,14 +66,13 @@ class UndervoltPolicy:
         Timing wall at the target clock, plus the calibrated margin, plus
         the full worst-case droop depth at the current activity level.
         """
-        chip_cfg = self._config.chip
-        n_active = socket.chip.n_active_cores()
-        droop = socket.path.noise.worst_droop(n_active)
-        return (
-            chip_cfg.vmin(frequency)
-            + calibrated_margin(chip_cfg, self._config.guardband)
-            + droop
-        )
+        margin, droop = self._reserve(socket)
+        return self._config.chip.vmin(frequency) + margin + droop
+
+    def _reserve(self, socket: ProcessorSocket) -> tuple:
+        """(calibrated margin, worst droop now): the same for every core."""
+        droop = socket.path.noise.worst_droop(socket.chip.n_active_cores())
+        return calibrated_margin(self._config.chip, self._config.guardband), droop
 
     def converge(
         self, socket: ProcessorSocket, f_target: Optional[float] = None
@@ -147,10 +146,11 @@ class UndervoltPolicy:
         target: float,
     ) -> float:
         """Smallest per-core voltage surplus over the droop-safe requirement."""
-        surpluses: List[float] = []
-        for core_id, (voltage, frequency) in enumerate(
-            zip(solution.core_voltages, solution.frequencies)
-        ):
-            required = self.required_voltage(socket, core_id, max(frequency, target))
-            surpluses.append(voltage - required)
-        return min(surpluses)
+        margin, droop = self._reserve(socket)
+        vmin = self._config.chip.vmin
+        return min(
+            voltage - (vmin(max(frequency, target)) + margin + droop)
+            for voltage, frequency in zip(
+                solution.core_voltages, solution.frequencies
+            )
+        )

@@ -111,6 +111,11 @@ class PowerDeliveryPath:
         return self._rail
 
     @property
+    def ir(self) -> IrDropNetwork:
+        """The on-chip IR-drop network of this socket."""
+        return self._ir
+
+    @property
     def noise(self) -> DidtNoiseModel:
         """The di/dt noise model in effect (workload-scaled)."""
         return self._noise
@@ -166,19 +171,10 @@ class PowerDeliveryPath:
         ripple = self._noise.typical_ripple(n_active_cores)
         droop = self._noise.worst_droop(n_active_cores)
         setpoint = self.setpoint
-        if isinstance(core_currents, np.ndarray):
-            # Array backend: fold the scalar drops first (same
-            # left-associative order as the comprehension below), then
-            # subtract the per-core terms elementwise — bit-identical.
-            prefix = setpoint - injected_droop - loadline - ir_shared
-            voltages = tuple(
-                (prefix - np.asarray(ir_local) - ripple).tolist()
-            )
-        else:
-            voltages = tuple(
-                setpoint - injected_droop - loadline - ir_shared - local - ripple
-                for local in ir_local
-            )
+        voltages = tuple(
+            setpoint - injected_droop - loadline - ir_shared - local - ripple
+            for local in ir_local
+        )
         return DropBreakdown(
             setpoint=setpoint,
             loadline=loadline,

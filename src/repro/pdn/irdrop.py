@@ -43,6 +43,16 @@ class IrDropNetwork:
         self._n_cores = floorplan.n_cores
 
     @property
+    def config(self) -> PdnConfig:
+        """The PDN configuration this network was built from."""
+        return self._config
+
+    @property
+    def local_matrix(self) -> np.ndarray:
+        """Per-core currents (A) → per-core local IR drops (V)."""
+        return self._local_matrix
+
+    @property
     def n_cores(self) -> int:
         """Number of cores the network spans."""
         return self._n_cores

@@ -24,9 +24,10 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from ..chip import Power7Chip
-from ..chip.power import PowerBreakdown, power_backend_for
+from ..chip.power import LEAKAGE_VREF, PowerBreakdown
 from ..config import ServerConfig
 from ..errors import ConvergenceError
+from ..faults.injector import fault_injector
 from ..pdn import DropBreakdown, PowerDeliveryPath
 
 #: Damping factor of the voltage fixed-point iteration.
@@ -231,46 +232,131 @@ class ProcessorSocket:
 
         Returns ``(voltages, frequencies, iterations)`` where frequencies
         are continuous (not grid-quantized) in servo mode.
+
+        One fused kernel over :meth:`PowerModel.chip_power` and
+        :meth:`PowerDeliveryPath.deliver`: everything that is constant
+        across iterations is hoisted, and the loop runs on plain floats.
+        It must stay bit-identical to composing those two calls (the
+        settle caches and event-log digests hash exact floats), so it
+        keeps their left-associative operand order, libm ``pow`` for
+        leakage, numpy's pairwise reductions for the total current and
+        the mean voltage, the BLAS matvec for local IR drop, and every
+        check and fault hook, once per iteration.
         """
         chip = self.chip
         n = chip.n_cores
-        setpoint = self.path.setpoint
-        voltages = np.full(n, setpoint - 0.02)
+        cfg = chip.power_model.config
+        tcfg = chip.timing.config
+        intercept, slope = tcfg.vmin_intercept, tcfg.vmin_slope
+        f_min, f_ceiling = tcfg.f_min, tcfg.f_ceiling
+        path = self.path
+        activities = occupancy.activities
+        gated = occupancy.gated
+        for act, g in zip(activities, gated):
+            if not g and act < 0:
+                raise ValueError(f"activity must be >= 0, got {act}")
+        ceff_act = [cfg.core_ceff * act for act in activities]
+        ungated = [i for i in range(n) if not gated[i]]
+        n_busy = sum(1 for i in ungated if activities[i] > cfg.idle_activity)
+        k = cfg.leakage_voltage_exponent
+        t_scale = max(
+            1.0 + cfg.leakage_temp_coeff * (temperature - cfg.leakage_temp_ref),
+            0.1,
+        )
+        core_leak0 = cfg.core_leakage_nominal
+        residual = cfg.power_gate_residual
+        unc_ceff_act = cfg.uncore_ceff * (
+            cfg.uncore_activity_idle + cfg.uncore_activity_per_core * n_busy
+        )
+        unc_leak0 = cfg.uncore_leakage_nominal
+
+        vrm = path.vrm
+        rail = path.rail
+        r_loadline = vrm.config.r_loadline
+        r_ir_shared = path.ir.config.r_ir_shared
+        matrix = path.ir.local_matrix
+        ripple = path.noise.typical_ripple(occupancy.n_active)
+        setpoint = path.setpoint
+        injector = fault_injector()
+
+        voltages = [setpoint - 0.02] * n
         freqs = list(chip.frequencies())
+        f_uncore = _ungated_mean(freqs, ungated, cfg.f_min)
         delta = float("inf")
-        vectorized = power_backend_for(n) == "array"
         for iteration in range(1, MAX_ITERATIONS + 1):
             if servo:
+                # TimingModel.frequency_for_margin, then clamp_frequency.
                 freqs = []
                 for v in voltages:
-                    target = chip.timing.frequency_for_margin(float(v), servo_margin)
-                    target = chip.timing.clamp_frequency(target)
+                    target = (v - servo_margin - intercept) / slope
+                    target = min(max(target, f_min), f_ceiling)
                     if frequency_cap is not None:
                         target = min(target, frequency_cap)
                     freqs.append(target)
-            power = chip.power_model.chip_power(
-                activities=occupancy.activities,
-                voltages=list(voltages),
-                frequencies=freqs,
-                gated=occupancy.gated,
-                temperature=temperature,
+                f_uncore = _ungated_mean(freqs, ungated, cfg.f_min)
+            # chip_power + per-core current, fused.
+            currents = []
+            negative = False
+            for v, f, a, g in zip(voltages, freqs, ceff_act, gated):
+                leak = core_leak0 * (v / LEAKAGE_VREF) ** k * t_scale
+                if g:
+                    power = leak * residual
+                else:
+                    power = a * v * v * f + leak
+                current = power / (0.3 if v < 0.3 else v)
+                negative = negative or current < 0
+                currents.append(current)
+            if ungated:
+                # An explicit left-to-right loop: chip_power summed numpy
+                # scalars, which builtin sum() never compensates, while
+                # Python >= 3.12 compensates a sum of plain floats.
+                v_uncore = 0.0
+                for i in ungated:
+                    v_uncore += voltages[i]
+                v_uncore = v_uncore / len(ungated)
+            else:
+                v_uncore = max(voltages)
+            uncore_power = unc_ceff_act * v_uncore * v_uncore * f_uncore + (
+                unc_leak0 * (v_uncore / LEAKAGE_VREF) ** k * t_scale
             )
-            core_currents = _core_currents(power, voltages, n, vectorized)
-            uncore_power = power.uncore_dynamic + power.uncore_leakage
-            uncore_current = uncore_power / max(float(np.mean(voltages)), 0.3)
-            drops = self.path.deliver(
-                core_currents, uncore_current, occupancy.n_active
-            )
-            new_voltages = np.asarray(drops.core_voltages)
-            delta = float(np.max(np.abs(new_voltages - voltages)))
-            voltages = voltages + DAMPING * (new_voltages - voltages)
-            # A diverging iterate (pathological delivery resistance) must
-            # stay inside the power model's physical domain so the loop
-            # reaches the iteration cap and raises ConvergenceError instead
-            # of feeding negative voltages into the leakage model.
-            voltages = np.clip(voltages, 0.2, None)
+            v_mean = float(np.add.reduce(np.array(voltages))) / n
+            uncore_current = uncore_power / (0.3 if v_mean < 0.3 else v_mean)
+            # deliver(), fused.
+            if uncore_current < 0:
+                raise ValueError(
+                    f"uncore_current must be >= 0, got {uncore_current}"
+                )
+            core_currents = np.array(currents)
+            total = float(np.add.reduce(core_currents)) + uncore_current
+            vrm.record_current(rail, total)
+            loadline = r_loadline * total
+            injected_droop = 0.0
+            if injector.enabled:
+                scale = injector.loadline_scale(rail)
+                if scale != 1.0:
+                    loadline *= scale
+                injected_droop = injector.rail_droop(rail)
+            prefix = setpoint - injected_droop - loadline - r_ir_shared * total
+            if negative:
+                raise ValueError("core currents must be >= 0")
+            local = (matrix @ core_currents).tolist()
+            # Damped update; a NaN delta must never read as converged.
+            delta = 0.0
+            for i in range(n):
+                v = voltages[i]
+                step = prefix - local[i] - ripple - v
+                d = abs(step)
+                if d > delta or d != d:
+                    delta = d
+                v = v + DAMPING * step
+                # A diverging iterate (pathological delivery resistance)
+                # must stay inside the power model's physical domain so
+                # the loop reaches the iteration cap and raises
+                # ConvergenceError instead of feeding negative voltages
+                # into the leakage model.
+                voltages[i] = 0.2 if v < 0.2 else v
             if delta < TOLERANCE:
-                return voltages, freqs, iteration
+                return np.array(voltages), freqs, iteration
         raise ConvergenceError(
             f"socket {self.socket_id}: electrical fixed point did not converge "
             f"in {MAX_ITERATIONS} iterations "
@@ -282,7 +368,6 @@ class ProcessorSocket:
     ) -> tuple:
         """One forward evaluation of (drops, power, current) at settled voltages."""
         chip = self.chip
-        n = chip.n_cores
         power = chip.power_model.chip_power(
             activities=occupancy.activities,
             voltages=list(voltages),
@@ -290,39 +375,25 @@ class ProcessorSocket:
             gated=occupancy.gated,
             temperature=temperature,
         )
-        vectorized = power_backend_for(n) == "array"
-        core_currents = _core_currents(power, voltages, n, vectorized)
+        core_currents = [
+            power.core_power(i) / max(float(v), 0.3)
+            for i, v in enumerate(voltages)
+        ]
         uncore_power = power.uncore_dynamic + power.uncore_leakage
         uncore_current = uncore_power / max(float(np.mean(voltages)), 0.3)
         drops = self.path.deliver(core_currents, uncore_current, occupancy.n_active)
-        if vectorized:
-            # Sequential sum (not np.sum's pairwise reduction) to stay
-            # bit-identical with the scalar path.
-            total_current = float(sum(core_currents.tolist())) + uncore_current
-        else:
-            total_current = float(sum(core_currents)) + uncore_current
+        total_current = float(sum(core_currents)) + uncore_current
         return drops, power, total_current
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ProcessorSocket(id={self.socket_id}, chip={self.chip!r})"
 
 
-def _core_currents(
-    power: PowerBreakdown, voltages: np.ndarray, n: int, vectorized: bool
-):
-    """Per-core current draw at the present iterate.
-
-    The array form computes ``(dyn + leak) / max(V, 0.3)`` elementwise —
-    the same IEEE operations in the same order as the scalar
-    comprehension, so the two are bit-identical (enforced by test).
-    """
-    if vectorized:
-        return (
-            np.asarray(power.core_dynamic) + np.asarray(power.core_leakage)
-        ) / np.maximum(voltages, 0.3)
-    return [
-        power.core_power(i) / max(float(voltages[i]), 0.3) for i in range(n)
-    ]
+def _ungated_mean(values: list, ungated: list, default: float) -> float:
+    """Mean over the ungated cores with builtin ``sum``, as chip_power's."""
+    if not ungated:
+        return default
+    return sum(values[i] for i in ungated) / len(ungated)
 
 
 @dataclass(frozen=True)
