@@ -824,7 +824,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print(f"{n:>6} {s0s.chip_power:>9.1f} {s0a.chip_power:>11.1f} {metric:>8}")
     if args.timings:
         print()
-        print(runner.reports[-1].summary())
+        print(runner.last_report.summary())
     return 0
 
 
@@ -917,7 +917,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             n_shards=args.shards,
             cell_servers=args.cell_servers,
             advisor_gate=gate,
-            workers=args.workers,
         )
     else:
         comparison = run_comparison(config, runner=runner, advisor_gate=gate)
@@ -1079,7 +1078,6 @@ def _cmd_chaos_campaign(args: argparse.Namespace) -> int:
         seed=args.fault_seed,
         smoke=args.smoke,
         strict=True,
-        workers=args.workers,
         progress=lambda name: print(f"  campaigning {name}..."),
     )
     print(report.render())
@@ -1325,10 +1323,7 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
                     scenario, args.overrides
                 )
             result = run_scenario(
-                scenario,
-                seed=args.seed,
-                n_shards=args.shards,
-                workers=args.workers,
+                scenario, seed=args.seed, n_shards=args.shards
             )
             _print_scenario_result(result, seed=args.seed)
             if args.trace_out:
@@ -1357,9 +1352,7 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
         raise ScenarioError("no scenarios with golden blocks to check")
     failed = False
     for scenario in checkable:
-        result = run_scenario(
-            scenario, n_shards=args.shards, workers=args.workers
-        )
+        result = run_scenario(scenario, n_shards=args.shards)
         verdict = check_result(result)
         status = "ok" if verdict.passed else "FAILED"
         print(f"{scenario.name}: {status}")

@@ -42,7 +42,7 @@ schedule, float arithmetic in fixed server order, banker's-rounding
 quantization.  It runs *inside* each cell's event loop — coordinator
 decisions are ordinary events in the cell's log, so the sharded
 executor's ``(time_ns, cell_id, seq)`` merge keeps the fleet-wide event
-log (and its SHA-256) invariant across shard and worker counts.  For a
+log (and its SHA-256) invariant across shard counts.  For a
 multi-cell fleet the budget is decomposed across cells proportionally
 to their size at lowering time; each cell's coordinator then tracks its
 share independently.

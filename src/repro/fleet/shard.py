@@ -207,7 +207,6 @@ def _simulate_cell(
     cell: CellSpec,
     policy: FleetPolicy,
     trace: Tuple,
-    workers: int,
 ) -> Tuple[FleetResult, List[Tuple[int, str]]]:
     """Simulate one cell; returns its result and canonical log lines.
 
@@ -215,7 +214,7 @@ def _simulate_cell(
     canonical JSON here, so the parent only merges strings.
     """
     offset = cell.offset
-    runner = SweepRunner(max_workers=workers, seed_root=cell.config.seed)
+    runner = SweepRunner(seed_root=cell.config.seed)
     sim = FleetSimulation(
         cell.config,
         policy,
@@ -300,7 +299,6 @@ def _run_spec_batch(payload: tuple) -> List[Tuple[int, FleetResult, list]]:
         trace_seed,
         policy,
         cells,
-        workers,
         n_cells,
         settle_dir,
         attempt,
@@ -318,7 +316,7 @@ def _run_spec_batch(payload: tuple) -> List[Tuple[int, FleetResult, list]]:
     for cell in cells:
         _maybe_inject_worker_fault(cell.index, attempt)
         result, lines = _simulate_cell(
-            cell, policy, tuple(by_index.pop(cell.index)), workers
+            cell, policy, tuple(by_index.pop(cell.index))
         )
         out.append((cell.index, result, lines))
     return out
@@ -504,7 +502,6 @@ def run_cell_specs(
     cells: Sequence[CellSpec],
     policy: FleetPolicy,
     n_shards: int = 1,
-    workers: int = 1,
     keep_events: bool = True,
     trace_seed: Optional[int] = None,
     shard_timeout: Optional[float] = None,
@@ -530,8 +527,6 @@ def run_cell_specs(
     """
     if n_shards < 1:
         raise SchedulingError(f"n_shards must be >= 1, got {n_shards}")
-    if workers < 1:
-        raise SchedulingError(f"workers must be >= 1, got {workers}")
     if not cells:
         raise SchedulingError("run_cell_specs needs at least one cell")
     ordered = sorted(cells, key=lambda cell: cell.index)
@@ -559,8 +554,8 @@ def run_cell_specs(
 
     def payload_for(batch: list, attempt: int) -> tuple:
         return (
-            traffic, trace_seed, policy, batch, workers, n_cells,
-            settle_dir, attempt,
+            traffic, trace_seed, policy, batch, n_cells, settle_dir,
+            attempt,
         )
 
     outcomes: List[Tuple[int, FleetResult, list]] = []
@@ -617,7 +612,6 @@ def run_sharded(
     n_shards: int = 1,
     cell_servers: Optional[int] = None,
     fault_plan: Optional[FaultPlan] = None,
-    workers: int = 1,
     keep_events: bool = True,
     shard_timeout: Optional[float] = None,
 ) -> FleetResult:
@@ -633,8 +627,6 @@ def run_sharded(
         cell (the plain, unsharded semantics).  The cell layout — not
         the shard count — defines the run's scheduling topology, so it
         is part of the run's identity.
-    workers:
-        Sweep-runner pool width *inside* each shard.
     keep_events:
         Retain the merged event stream on the result (see
         :func:`merge_cell_results`).
@@ -650,7 +642,7 @@ def run_sharded(
     )
     # Any fleet power budget is decomposed proportionally to cell size;
     # each cell's coordinator then tracks its share independently, so
-    # the merged log is invariant across shard/worker counts.
+    # the merged log is invariant across shard counts.
     budget_shares = decompose_budget(
         config.fleet_power_budget_w,
         [layout.size(cell_id) for cell_id in range(layout.n_cells)],
@@ -669,8 +661,8 @@ def run_sharded(
         for cell_id in range(layout.n_cells)
     )
     return run_cell_specs(
-        cells, policy, n_shards=n_shards, workers=workers,
-        keep_events=keep_events, shard_timeout=shard_timeout,
+        cells, policy, n_shards=n_shards, keep_events=keep_events,
+        shard_timeout=shard_timeout,
     ).merged
 
 
@@ -679,7 +671,6 @@ def run_sharded_comparison(
     n_shards: int = 1,
     cell_servers: Optional[int] = None,
     advisor_gate: bool = True,
-    workers: int = 1,
     keep_events: bool = True,
 ) -> FleetComparison:
     """Sharded AGS vs. static vs. consolidation over one fleet day."""
@@ -689,7 +680,6 @@ def run_sharded_comparison(
         ags_policy,
         n_shards=n_shards,
         cell_servers=cell_servers,
-        workers=workers,
         keep_events=keep_events,
     )
     consolidation = run_sharded(
@@ -697,7 +687,6 @@ def run_sharded_comparison(
         CONSOLIDATION_POLICY,
         n_shards=n_shards,
         cell_servers=cell_servers,
-        workers=workers,
         keep_events=keep_events,
     )
     return FleetComparison(ags=ags, consolidation=consolidation)

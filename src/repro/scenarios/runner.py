@@ -20,8 +20,8 @@ into the cell list the sharded executor already understands —
 Because the lowered cells run through
 :func:`~repro.fleet.shard.run_cell_specs`, the merged event log — and
 its SHA-256, the run's identity — is bit-identical across ``--shards``
-and ``--workers`` counts by construction, which is what lets catalog
-goldens pin exact hashes.
+counts by construction, which is what lets catalog goldens pin exact
+hashes.
 """
 
 from __future__ import annotations
@@ -310,7 +310,7 @@ def lower_scenario(
     # A fleet power budget decomposes across every cell of the topology
     # proportionally to cell size, mirroring run_sharded — each cell's
     # coordinator tracks its share independently, so the event log stays
-    # invariant across shard/worker counts.
+    # invariant across shard counts.
     cell_sizes: List[int] = []
     for group in effective.topology.groups:
         width = group.cell_servers or group.servers
@@ -476,7 +476,6 @@ def run_scenario(
     scenario: Scenario,
     seed: Optional[int] = None,
     n_shards: int = 1,
-    workers: int = 1,
     keep_events: bool = True,
 ) -> ScenarioResult:
     """Run one scenario end to end."""
@@ -485,7 +484,6 @@ def run_scenario(
         lowered.cells,
         lowered.policy,
         n_shards=n_shards,
-        workers=workers,
         keep_events=keep_events,
         trace_seed=lowered.trace_seed,
     )
@@ -607,9 +605,7 @@ def check_result(result: ScenarioResult) -> GoldenVerdict:
     )
 
 
-def check_scenario(
-    scenario: Scenario, n_shards: int = 1, workers: int = 1
-) -> GoldenVerdict:
+def check_scenario(scenario: Scenario, n_shards: int = 1) -> GoldenVerdict:
     """Run a scenario under its own pinned seed and adjudicate goldens.
 
     Raises :class:`ScenarioError` when the scenario carries no golden
@@ -619,7 +615,5 @@ def check_scenario(
         raise ScenarioError(
             f"scenario {scenario.name!r} has no [golden] block to check"
         )
-    result = run_scenario(
-        scenario, n_shards=n_shards, workers=workers, keep_events=True
-    )
+    result = run_scenario(scenario, n_shards=n_shards, keep_events=True)
     return check_result(result)

@@ -533,8 +533,14 @@ class SweepRunner:
         self.task_timeout = task_timeout
         self.max_retries = max_retries
         self.strict = strict
-        #: Reports of every batch this runner executed (observability).
-        self.reports: List[SweepReport] = []
+        #: The most recent batch's report (observability).  Older reports
+        #: are not kept: each pins its batch's results.
+        self.last_report: Optional[SweepReport] = None
+        # Running totals behind :meth:`timings_summary`.
+        self._n_batches = 0
+        self._n_tasks = 0
+        self._n_executed = 0
+        self._wall_time = 0.0
 
     # ------------------------------------------------------------------
     # Core API
@@ -663,7 +669,11 @@ class SweepRunner:
             cache_stats=dataclasses.replace(self.cache.stats),
             failures=tuple(failures),
         )
-        self.reports.append(report)
+        self.last_report = report
+        self._n_batches += 1
+        self._n_tasks += report.n_tasks
+        self._n_executed += report.n_executed
+        self._wall_time += report.wall_time
         self._record_report(report)
         if failures and self.strict:
             first = failures[0]
@@ -742,12 +752,9 @@ class SweepRunner:
 
     def timings_summary(self) -> str:
         """Cumulative summary across every batch this runner executed."""
-        total = sum(r.wall_time for r in self.reports)
-        tasks = sum(r.n_tasks for r in self.reports)
-        executed = sum(r.n_executed for r in self.reports)
         lines = [
-            f"runner: {len(self.reports)} batch(es), {tasks} task(s), "
-            f"{executed} executed, {total:.2f}s total",
+            f"runner: {self._n_batches} batch(es), {self._n_tasks} task(s), "
+            f"{self._n_executed} executed, {self._wall_time:.2f}s total",
             f"cache: {self.cache.stats.summary()}",
         ]
         return "\n".join(lines)

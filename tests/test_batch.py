@@ -216,6 +216,28 @@ class TestReports:
         assert "raytrace:n1:undervolt" in report.summary()
         assert "1 batch(es)" in runner.timings_summary()
 
+    def test_totals_run_across_batches_and_only_the_last_report_is_kept(
+        self, runner, raytrace
+    ):
+        first = runner.run(
+            core_scaling_tasks(raytrace, GuardbandMode.UNDERVOLT, (1, 2))
+        )
+        second = runner.run(
+            core_scaling_tasks(raytrace, GuardbandMode.UNDERVOLT, (2, 3))
+        )
+        third = runner.run(
+            core_scaling_tasks(raytrace, GuardbandMode.UNDERVOLT, (1,))
+        )
+        assert (first.n_executed, second.n_executed, third.n_executed) == (
+            2, 1, 0,
+        )
+        assert runner.last_report is third
+        assert not hasattr(runner, "reports")
+        wall = first.wall_time + second.wall_time + third.wall_time
+        assert runner.timings_summary().splitlines()[0] == (
+            f"runner: 3 batch(es), 5 task(s), 3 executed, {wall:.2f}s total"
+        )
+
     def test_default_runner_swap(self):
         sentinel = SweepRunner()
         previous = set_default_runner(sentinel)

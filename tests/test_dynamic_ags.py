@@ -116,7 +116,7 @@ class TestRunnerRouting:
         runner = SweepRunner(cache=OperatingPointCache())
         driver = DynamicAgsDriver(server, raytrace, runner=runner)
         driver.replay([3, 4, 3, 4, 3])
-        stats = runner.reports[-1].cache_stats
+        stats = runner.last_report.cache_stats
         # 2 distinct demand levels x (AGS + baseline) x (static + adaptive
         # halves): everything beyond the first 8 settles is a replay.
         assert stats.hits > 0

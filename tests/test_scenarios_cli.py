@@ -153,3 +153,66 @@ class TestActions:
         out = capsys.readouterr().out
         assert "FAILED" in out
         assert "event_log_hash" in out
+
+
+class TestOverrides:
+    """``scenario run --set``: dump the scenario, patch it, reload it."""
+
+    @staticmethod
+    def _run(capsys, argv):
+        assert main(argv) == 0
+        return capsys.readouterr().out
+
+    def test_override_of_a_defaulted_key_matches_the_edited_file(
+        self, tiny_path, tmp_path, capsys
+    ):
+        # TINY leaves pdn_backend at its default, so the dump holds no
+        # [policy] table at all and the override has to create it.
+        edited = tmp_path / "edited.toml"
+        edited.write_text(TINY + 'pdn_backend = "flexwatts"\n')
+        patched = self._run(capsys, [
+            "scenario", "run", tiny_path,
+            "--set", "policy.pdn_backend=flexwatts",
+        ])
+        assert "event log:" in patched
+        assert patched == self._run(capsys, ["scenario", "run", str(edited)])
+
+    def test_nested_overrides_match_the_edited_file(
+        self, tiny_path, tmp_path, capsys
+    ):
+        edited = tmp_path / "edited.toml"
+        edited.write_text(
+            TINY.replace("jobs_per_hour = 40.0", "jobs_per_hour = 60.0")
+            .replace("service_floor = 60.0", "service_floor = 90.0")
+        )
+        patched = self._run(capsys, [
+            "scenario", "run", tiny_path,
+            "--set", "traffic.jobs_per_hour=60.0",
+            "--set", "mix.service_floor=90",
+        ])
+        assert patched == self._run(capsys, ["scenario", "run", str(edited)])
+        assert patched != self._run(capsys, ["scenario", "run", tiny_path])
+
+    @pytest.mark.parametrize(
+        "override", ["policy.policy=ags", "traffic.jobs_per_hour=60.0"]
+    )
+    def test_any_override_drops_the_golden_block(self, override):
+        from repro.cli import _apply_scenario_overrides
+        from repro.scenarios import GoldenSpec, loads
+
+        pinned = loads(TINY + "\n[golden]\nn_arrivals = 3\n")
+        assert pinned.golden == GoldenSpec(n_arrivals=3)
+        patched = _apply_scenario_overrides(pinned, [override])
+        assert patched.golden == GoldenSpec()
+        assert patched.name == "cli_tiny"
+
+    def test_override_without_equals_exits_12(self, tiny_path, capsys):
+        assert main(["scenario", "run", tiny_path, "--set", "foo"]) == 12
+        assert "--set needs KEY=VALUE, got 'foo'" in capsys.readouterr().err
+
+    def test_override_through_a_scalar_exits_12(self, tiny_path, capsys):
+        assert main([
+            "scenario", "run", tiny_path,
+            "--set", "traffic.jobs_per_hour.x=1",
+        ]) == 12
+        assert "'jobs_per_hour' is not a table" in capsys.readouterr().err

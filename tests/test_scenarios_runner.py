@@ -127,17 +127,14 @@ class TestLowering:
 
 
 class TestDeterminism:
-    def test_hash_invariant_across_shards_and_workers(self):
+    def test_hash_invariant_across_shards(self):
         scenario = tiny_scenario()
         base = run_scenario(scenario)
-        for kwargs in ({"n_shards": 2}, {"workers": 2},
-                       {"n_shards": 2, "workers": 2}):
-            again = run_scenario(scenario, **kwargs)
-            assert (
-                again.summary["event_log_hash"]
-                == base.summary["event_log_hash"]
-            ), kwargs
-            assert again.summary == base.summary, kwargs
+        again = run_scenario(scenario, n_shards=2)
+        assert (
+            again.summary["event_log_hash"] == base.summary["event_log_hash"]
+        )
+        assert again.summary == base.summary
 
     def test_seed_changes_the_run(self):
         scenario = tiny_scenario()
