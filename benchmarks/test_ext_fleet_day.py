@@ -24,12 +24,10 @@ from repro.fleet.metrics import summarize_by_class
 from repro.fleet.traffic import LATENCY_CRITICAL
 
 
-def test_ext_fleet_day(benchmark, report, shared_sweep_runner):
+def test_ext_fleet_day(benchmark, report):
     config = FleetConfig(n_servers=4, seed=7)
 
-    comparison = run_once(
-        benchmark, run_comparison, config, runner=shared_sweep_runner
-    )
+    comparison = run_once(benchmark, run_comparison, config)
     ags = comparison.ags
     consolidation = comparison.consolidation
 

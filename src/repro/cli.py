@@ -195,15 +195,17 @@ def _common_options() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="process-pool width for independent sweep points (default 1: "
-        "in-process, bit-identical to the parallel schedule)",
+        help="process-pool width for the independent points of `sweep` and "
+        "`figure` batches (default 1: in-process, bit-identical to the "
+        "parallel schedule); fleet runs parallelize with --shards",
     )
     runner.add_argument(
         "--cache-dir",
         default=None,
         metavar="DIR",
         help="persist settled operating points as JSON under DIR and reuse "
-        "them across invocations (e.g. .repro_cache)",
+        "them across invocations (e.g. .repro_cache); for `fleet` and "
+        "`chaos` DIR is the settle cache every shard worker shares",
     )
     runner.add_argument(
         "--timings",
@@ -886,8 +888,25 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
+def _settle_cache_from_args(args: argparse.Namespace) -> None:
+    """Point the settle cache every shard shares at ``--cache-dir``, if given."""
+    from .fleet.settle_cache import ensure_settle_cache_dir
+
+    if args.cache_dir is not None:
+        ensure_settle_cache_dir(args.cache_dir)
+
+
+def _print_settle_timings(args: argparse.Namespace) -> None:
+    """``--timings`` for fleet commands: the settle-cache summary line."""
+    from .fleet.settle_cache import fleet_settle_cache
+
+    if args.timings:
+        print()
+        print(f"settle cache: {fleet_settle_cache().stats.summary()}")
+
+
 def _cmd_fleet(args: argparse.Namespace) -> int:
-    from .fleet import FleetConfig, TrafficConfig, run_comparison
+    from .fleet import CellLayout, FleetConfig, TrafficConfig, run_comparison
     from .fleet.metrics import summarize_by_class
     from .fleet.traffic import LATENCY_CRITICAL
     from .sim.cache import canonical_json
@@ -906,38 +925,25 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         cap_interval_seconds=args.cap_interval,
         cap_gain=args.cap_gain,
     )
-    runner = _runner_from_args(args)
     gate = not args.no_advisor_gate
-    sharded = args.shards > 1 or args.cell_servers is not None
-    if sharded:
-        from .fleet.shard import run_sharded_comparison
-
-        comparison = run_sharded_comparison(
-            config,
-            n_shards=args.shards,
-            cell_servers=args.cell_servers,
-            advisor_gate=gate,
-        )
-    else:
-        comparison = run_comparison(config, runner=runner, advisor_gate=gate)
+    _settle_cache_from_args(args)
+    comparison = run_comparison(
+        config,
+        advisor_gate=gate,
+        n_shards=args.shards,
+        cell_servers=args.cell_servers,
+    )
     ags = comparison.ags
     consolidation = comparison.consolidation
     hours = args.duration / 3600.0
-    cells = ""
-    if sharded:
-        from .fleet.shard import CellLayout
-
-        layout = CellLayout(
-            n_servers=args.servers,
-            cell_servers=args.cell_servers or args.servers,
-        )
-        cells = (
-            f", {layout.n_cells} cell(s) x {layout.cell_servers} server(s) "
-            f"over {args.shards} shard(s)"
-        )
+    layout = CellLayout(
+        n_servers=args.servers,
+        cell_servers=args.cell_servers or args.servers,
+    )
     print(
         f"fleet: {args.servers} server(s), {hours:g} h, seed {args.seed}, "
-        f"advisor gate {'on' if gate else 'OFF'}{cells}"
+        f"advisor gate {'on' if gate else 'OFF'}, {layout.n_cells} cell(s) "
+        f"x {layout.cell_servers} server(s) over {args.shards} shard(s)"
     )
     print(
         f"jobs: {ags.n_arrivals} arrived, {ags.n_completions} completed, "
@@ -995,9 +1001,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             for entry in ags.events:
                 handle.write(canonical_json(entry) + "\n")
         print(f"wrote {len(ags.events)} events to {args.trace_out}")
-    if args.timings:
-        print()
-        print(runner.timings_summary())
+    _print_settle_timings(args)
     return 0
 
 
@@ -1058,12 +1062,9 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             "the chaos plan is empty: --no-crash and --no-corrupt with no "
             "--kill-job leaves nothing to inject"
         )
-    runner = _runner_from_args(args)
-    report = run_chaos(config, plan, runner=runner)
-    print(report.render())
-    if args.timings:
-        print()
-        print(runner.timings_summary())
+    _settle_cache_from_args(args)
+    print(run_chaos(config, plan).render())
+    _print_settle_timings(args)
     return 0
 
 

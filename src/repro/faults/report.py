@@ -1,11 +1,12 @@
 """Degradation reports: what did the faults cost us?
 
-:func:`run_chaos` drives the same trace twice through the fleet engine —
-fault-free baseline, then with the plan injected — sharing one sweep
-runner (and thus one operating-point cache) so the pair costs little
-more than a single run.  The resulting :class:`DegradationReport`
-carries no wall-clock state, which is what makes two chaos runs with the
-same seed and plan byte-identical (the determinism acceptance test).
+:func:`run_chaos` drives the same trace twice through the sharded fleet
+executor — fault-free baseline, then with the plan injected — sharing
+the process-wide settle cache, so the degraded run replays every
+placement the baseline already settled.  The resulting
+:class:`DegradationReport` carries no wall-clock state, which is what
+makes two chaos runs with the same seed and plan byte-identical (the
+determinism acceptance test).
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from .plan import FaultPlan
 if TYPE_CHECKING:  # pragma: no cover - imported for annotations only
     from ..fleet.metrics import FleetResult
     from ..fleet.scheduler import FleetPolicy
-    from ..sim.batch import SweepRunner
 
 
 @dataclass(frozen=True)
@@ -106,25 +106,18 @@ class DegradationReport:
 def run_chaos(
     config,
     plan: FaultPlan,
-    runner: Optional["SweepRunner"] = None,
     policy: Optional["FleetPolicy"] = None,
 ) -> DegradationReport:
     """Run one fleet scenario fault-free and degraded; report the delta.
 
-    ``config`` is a :class:`~repro.fleet.engine.FleetConfig`.  Both runs
-    share the trace and the sweep runner, so the baseline's settled
-    points replay from cache wherever the degraded run revisits them.
+    ``config`` is a :class:`~repro.fleet.engine.FleetConfig`; both runs
+    go through :func:`~repro.fleet.shard.run_sharded` over one cell, so
+    they share the trace and the settle cache.
     """
-    from ..fleet.engine import FleetSimulation
     from ..fleet.scheduler import AGS_POLICY
-    from ..fleet.traffic import generate_trace
+    from ..fleet.shard import run_sharded
 
     fleet_policy = policy if policy is not None else AGS_POLICY
-    trace = generate_trace(config.traffic, config.seed)
-    baseline = FleetSimulation(
-        config, fleet_policy, runner=runner, trace=trace
-    ).run()
-    degraded = FleetSimulation(
-        config, fleet_policy, runner=runner, trace=trace, fault_plan=plan
-    ).run()
+    baseline = run_sharded(config, fleet_policy)
+    degraded = run_sharded(config, fleet_policy, fault_plan=plan)
     return DegradationReport(plan=plan, baseline=baseline, degraded=degraded)

@@ -10,7 +10,7 @@ and QoS accounting (:mod:`~repro.fleet.metrics`) flows through the shared
 operating-point cache, so repeated fleet states settle once per machine.
 """
 
-from .engine import FleetConfig, FleetSimulation, run_comparison
+from .engine import FleetConfig, FleetSimulation
 from .events import (
     ArrivalEvent,
     CompletionEvent,
@@ -36,8 +36,8 @@ from .shard import (
     default_shards,
     merge_cell_results,
     run_cell_specs,
+    run_comparison,
     run_sharded,
-    run_sharded_comparison,
 )
 from .scheduler import (
     AGS_POLICY,
@@ -94,7 +94,6 @@ __all__ = [
     "run_cell_specs",
     "run_comparison",
     "run_sharded",
-    "run_sharded_comparison",
     "seconds_to_ns",
     "ServerState",
     "ShardedOutcome",

@@ -25,7 +25,8 @@ discrete-event loop owns four state machines:
 Determinism: the trace is materialized up-front, simulated time is
 integer nanoseconds, every iteration order is sorted or insertion-fixed,
 and single-task runner batches never enter the process pool — so the
-event-log hash is identical across ``--workers`` settings by construction.
+event-log hash is identical whatever the runner's worker count, by
+construction.
 """
 
 from __future__ import annotations
@@ -68,7 +69,6 @@ from .events import (
 from .metrics import (
     EnergyAccount,
     EventLog,
-    FleetComparison,
     FleetResult,
     JobRecord,
 )
@@ -76,8 +76,6 @@ from .powercap import PowerCapCoordinator
 from .settle_cache import BoundedMemo, fleet_settle_cache
 from .scheduler import (
     AGS_POLICY,
-    CONSOLIDATION_POLICY,
-    UNGATED_AGS_POLICY,
     FleetPolicy,
     OnlineFleetScheduler,
     PlacementPlan,
@@ -1483,22 +1481,3 @@ class FleetSimulation:
             powercap_ticks=self.powercap_ticks,
         )
 
-
-def run_comparison(
-    config: FleetConfig,
-    runner: Optional[SweepRunner] = None,
-    advisor_gate: bool = True,
-) -> FleetComparison:
-    """AGS vs. static guardband vs. consolidation over one trace.
-
-    The static-guardband baseline rides along with the AGS run (the sweep
-    runner settles both guardbands of every placement), so only two
-    simulations execute — and they share the operating-point cache.
-    """
-    trace = generate_trace(config.traffic, config.seed)
-    ags_policy = AGS_POLICY if advisor_gate else UNGATED_AGS_POLICY
-    ags = FleetSimulation(config, ags_policy, runner=runner, trace=trace).run()
-    consolidation = FleetSimulation(
-        config, CONSOLIDATION_POLICY, runner=runner, trace=trace
-    ).run()
-    return FleetComparison(ags=ags, consolidation=consolidation)

@@ -284,7 +284,9 @@ def _maybe_inject_worker_fault(cell_index: int, attempt: int) -> None:
         os._exit(17)
 
 
-def _run_spec_batch(payload: tuple) -> List[Tuple[int, FleetResult, list]]:
+def _run_spec_batch(
+    payload: tuple,
+) -> Tuple[List[Tuple[int, FleetResult, list]], Dict[str, int]]:
     """Worker entry point: run a batch of cell specs sequentially.
 
     Module-level so :class:`ProcessPoolExecutor` can pickle it; also the
@@ -292,7 +294,9 @@ def _run_spec_batch(payload: tuple) -> List[Tuple[int, FleetResult, list]]:
     The trace is regenerated from ``(traffic, trace_seed)`` rather than
     shipped across the process boundary, then bucketed by modular
     routing — a 625-cell fleet regenerates its million-job trace once
-    per *shard*, not once per cell.
+    per *shard*, not once per cell.  Also returns how far the batch
+    moved this process's settle-cache counters, so the parent can count
+    a pool worker's lookups as its own.
     """
     (
         traffic,
@@ -306,7 +310,8 @@ def _run_spec_batch(payload: tuple) -> List[Tuple[int, FleetResult, list]]:
     # Point this process's settle cache at the parent's shared directory:
     # a pool worker starts cold and rebuilds against it; the in-process
     # path already matches and keeps its warm memory layer.
-    ensure_settle_cache_dir(settle_dir)
+    stats = ensure_settle_cache_dir(settle_dir).stats
+    before = dataclasses.asdict(stats)
     by_index: Dict[int, List] = {cell.index: [] for cell in cells}
     for job in generate_trace(traffic, trace_seed):
         index = job.job_id % n_cells
@@ -319,7 +324,18 @@ def _run_spec_batch(payload: tuple) -> List[Tuple[int, FleetResult, list]]:
             cell, policy, tuple(by_index.pop(cell.index))
         )
         out.append((cell.index, result, lines))
-    return out
+    moved = {
+        name: count - before[name]
+        for name, count in dataclasses.asdict(stats).items()
+    }
+    return out, moved
+
+
+def _fold_settle_counts(moved: Dict[str, int]) -> None:
+    """Add a pool worker's settle-cache counter deltas to this process's."""
+    stats = fleet_settle_cache().stats
+    for name, count in moved.items():
+        setattr(stats, name, getattr(stats, name) + count)
 
 
 # ----------------------------------------------------------------------
@@ -466,7 +482,9 @@ def _run_pool_round(
             futures.append((batch, attempt, future))
         for batch, attempt, future in futures:
             try:
-                outcomes.extend(future.result(timeout=timeout))
+                batch_out, moved = future.result(timeout=timeout)
+                outcomes.extend(batch_out)
+                _fold_settle_counts(moved)
             except BrokenProcessPool:
                 failed.append((batch, attempt, "broken_pool"))
             except FuturesTimeoutError:
@@ -594,7 +612,7 @@ def run_cell_specs(
     # cells that exhausted their fresh-pool rounds — runs in-process.
     # (The kill hook only fires in pool workers, so this always finishes.)
     for batch, attempt in pending:
-        outcomes.extend(_run_spec_batch(payload_for(batch, attempt)))
+        outcomes.extend(_run_spec_batch(payload_for(batch, attempt))[0])
     cell_results = {cell_id: result for cell_id, result, _ in outcomes}
     cell_lines = {cell_id: lines for cell_id, _, lines in outcomes}
     merged = merge_cell_results(
@@ -666,30 +684,28 @@ def run_sharded(
     ).merged
 
 
-def run_sharded_comparison(
+def run_comparison(
     config: FleetConfig,
+    advisor_gate: bool = True,
     n_shards: int = 1,
     cell_servers: Optional[int] = None,
-    advisor_gate: bool = True,
     keep_events: bool = True,
 ) -> FleetComparison:
-    """Sharded AGS vs. static vs. consolidation over one fleet day."""
+    """AGS vs. static guardband vs. consolidation over one fleet day.
+
+    The static-guardband baseline rides along with the AGS run (every
+    placement settles both guardbands), so two sharded runs cover all
+    three regimes.  ``n_shards`` and ``cell_servers`` mean what they do
+    in :func:`run_sharded`.
+    """
     ags_policy = AGS_POLICY if advisor_gate else UNGATED_AGS_POLICY
-    ags = run_sharded(
-        config,
-        ags_policy,
-        n_shards=n_shards,
-        cell_servers=cell_servers,
-        keep_events=keep_events,
+    options = dict(
+        n_shards=n_shards, cell_servers=cell_servers, keep_events=keep_events
     )
-    consolidation = run_sharded(
-        config,
-        CONSOLIDATION_POLICY,
-        n_shards=n_shards,
-        cell_servers=cell_servers,
-        keep_events=keep_events,
+    return FleetComparison(
+        ags=run_sharded(config, ags_policy, **options),
+        consolidation=run_sharded(config, CONSOLIDATION_POLICY, **options),
     )
-    return FleetComparison(ags=ags, consolidation=consolidation)
 
 
 def default_shards() -> int:

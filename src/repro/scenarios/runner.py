@@ -50,6 +50,7 @@ from ..fleet.metrics import FleetResult
 from ..fleet.powercap import decompose_budget
 from ..fleet.scheduler import POLICIES, FleetPolicy
 from ..fleet.shard import (
+    CellLayout,
     CellSpec,
     ShardedOutcome,
     ShardRetry,
@@ -151,6 +152,14 @@ def _group_cap_gain(scenario: Scenario, group: ServerGroupSpec) -> float:
     return max(0.05, base * attenuation)
 
 
+def _group_layout(group: ServerGroupSpec) -> CellLayout:
+    """The fixed cell partition of one server group."""
+    return CellLayout(
+        n_servers=group.servers,
+        cell_servers=group.cell_servers or group.servers,
+    )
+
+
 def _lower_fault_windows(
     scenario: Scenario,
 ) -> Tuple[Dict[str, List[FaultSpec]], List[FaultSpec]]:
@@ -239,29 +248,23 @@ def _budget_schedules(
     # Pre-pass mirroring the cell construction order, mapping each
     # group-local crash spec onto the cell that owns its server.
     events: List[Tuple[float, int, int]] = []
-    cell_cursor = 0
+    first_cell = 0
     for group in scenario.topology.groups:
-        width = group.cell_servers or group.servers
-        specs = per_group_faults.get(group.name, [])
-        local_offset = 0
-        while local_offset < group.servers:
-            size = min(width, group.servers - local_offset)
-            for spec in specs:
-                if not isinstance(spec, ServerCrashFault):
-                    continue
-                if not local_offset <= spec.server_id < local_offset + size:
-                    continue
-                events.append((spec.start_seconds, cell_cursor, -1))
-                if spec.repair_seconds is not None:
-                    events.append(
-                        (
-                            spec.start_seconds + spec.repair_seconds,
-                            cell_cursor,
-                            +1,
-                        )
+        layout = _group_layout(group)
+        for spec in per_group_faults.get(group.name, []):
+            if not isinstance(spec, ServerCrashFault):
+                continue
+            cell_index = first_cell + layout.cell_of_server(spec.server_id)
+            events.append((spec.start_seconds, cell_index, -1))
+            if spec.repair_seconds is not None:
+                events.append(
+                    (
+                        spec.start_seconds + spec.repair_seconds,
+                        cell_index,
+                        +1,
                     )
-            local_offset += size
-            cell_cursor += 1
+                )
+        first_cell += layout.n_cells
     if not events:
         return {}
     live = list(cell_sizes)
@@ -313,11 +316,8 @@ def lower_scenario(
     # invariant across shard counts.
     cell_sizes: List[int] = []
     for group in effective.topology.groups:
-        width = group.cell_servers or group.servers
-        remaining = group.servers
-        while remaining > 0:
-            cell_sizes.append(min(width, remaining))
-            remaining -= cell_sizes[-1]
+        layout = _group_layout(group)
+        cell_sizes.extend(layout.size(cell) for cell in range(layout.n_cells))
     budget_shares = decompose_budget(
         effective.policy.fleet_power_budget_w, cell_sizes
     )
@@ -329,12 +329,12 @@ def lower_scenario(
         server_config = _group_server_config(effective, group)
         die_seed = _group_die_seed(effective, group)
         group_gain = _group_cap_gain(effective, group)
-        width = group.cell_servers or group.servers
+        layout = _group_layout(group)
         group_fault_specs = per_group_faults.get(group.name, [])
         indices: List[int] = []
-        local_offset = 0
-        while local_offset < group.servers:
-            size = min(width, group.servers - local_offset)
+        for local_cell in range(layout.n_cells):
+            local_offset = layout.offset(local_cell)
+            size = layout.size(local_cell)
             cell_index = len(cells)
             config = FleetConfig(
                 server_config=server_config,
@@ -396,7 +396,6 @@ def lower_scenario(
                 )
             )
             indices.append(cell_index)
-            local_offset += size
         groups.append(
             GroupCells(
                 group=group,

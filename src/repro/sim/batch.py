@@ -731,11 +731,13 @@ class SweepRunner:
                     help_text="Per-task settle wall time (fresh points).",
                 )
         if report.n_executed and report.wall_time > 0:
+            # An in-process batch ran on one worker, whatever the pool width.
+            workers = self.max_workers if report.used_processes else 1
             obs.gauge(
                 "sweep_worker_utilization",
-                executed_wall / (report.wall_time * self.max_workers),
+                executed_wall / (report.wall_time * workers),
                 help_text=(
-                    "Busy fraction of the worker pool over the last "
+                    "Busy fraction of the workers that ran the last "
                     "executing batch (task wall time / batch wall time "
                     "/ workers)."
                 ),

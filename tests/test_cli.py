@@ -231,6 +231,87 @@ class TestCommands:
         assert "power saving" in capsys.readouterr().out
 
 
+def _line(out: str, prefix: str) -> str:
+    return next(line for line in out.splitlines() if line.startswith(prefix))
+
+
+class TestFleetFrontDoor:
+    """Every fleet command runs through the sharded cell executor."""
+
+    @pytest.mark.parametrize(
+        "layout",
+        [[], ["--shards", "2", "--cell-servers", "4"]],
+        ids=["one-cell", "two-shards"],
+    )
+    @pytest.mark.parametrize(
+        "flags, digest",
+        [
+            (
+                [],
+                "11cf356807d1b442e26d32fca9e18e7d"
+                "8323676be609e126c652056bd661ab61",
+            ),
+            (
+                ["--no-advisor-gate"],
+                "4a05230222d6a3f22b1942971e2a0b33"
+                "932cd71043e10962629efa7b3ab08ffb",
+            ),
+            (
+                ["--power-budget", "900"],
+                "60fa1cc5afb427516910eb0b417dc137"
+                "75af157c65e307d0e5f01329a8d7c00b",
+            ),
+            (
+                ["--power-cap", "300"],
+                "6a201dcd7011e2fe7b19291bcc560aaa"
+                "239a8a844ed563303e98e0df17d673e5",
+            ),
+        ],
+        ids=["plain", "no-gate", "budget", "cap"],
+    )
+    def test_fleet_hash_is_pinned_at_every_layout(
+        self, capsys, flags, digest, layout
+    ):
+        argv = ["fleet", "--servers", "4", "--duration", "7200"]
+        assert main(argv + flags + layout) == 0
+        out = capsys.readouterr().out
+        assert _line(out, "event log:").split()[2] == digest
+
+    def test_chaos_hashes_are_pinned(self, capsys):
+        assert main(["chaos"]) == 0
+        out = capsys.readouterr().out
+        assert _line(out, "event log: baseline").split()[3] == (
+            "9f2bf84f3bcdb097959b11718ea8e298"
+            "b6c3e7ef89462c078209b9c4e5f954fe"
+        )
+        assert _line(out, "event log: degraded").split()[3] == (
+            "272e9f64e0d685f236cc71bdf412069d"
+            "f92b205eeadf0b81a48976eaed252241"
+        )
+
+    def test_sharded_fleet_shares_the_cache_dir(self, capsys, tmp_path):
+        from repro.fleet.settle_cache import configure_fleet_settle_cache
+
+        cache_dir = tmp_path / "settles"
+        argv = [
+            "fleet", "--servers", "4", "--duration", "3600",
+            "--cell-servers", "2", "--shards", "2",
+            "--cache-dir", str(cache_dir), "--timings",
+        ]
+        try:
+            assert main(argv) == 0
+            first = capsys.readouterr().out
+            assert list(cache_dir.glob("settle-*.json"))
+            assert main(argv) == 0
+            second = capsys.readouterr().out
+        finally:
+            configure_fleet_settle_cache()
+        assert _line(second, "event log:") == _line(first, "event log:")
+        settle_line = _line(second, "settle cache:")
+        from_disk = int(settle_line.split(" from disk")[0].split()[-1])
+        assert from_disk > 0
+
+
 class TestObservabilityOptions:
     def test_measure_metrics_out_writes_snapshot(self, capsys, tmp_path):
         path = tmp_path / "metrics.json"

@@ -77,7 +77,7 @@ class TestBitIdentity:
 
 class TestChaosScenario:
     @pytest.fixture(scope="class")
-    def report(self, config, runner):
+    def report(self, config):
         plan = chaos_plan(
             DURATION,
             crash_server=1,
@@ -85,7 +85,7 @@ class TestChaosScenario:
             corrupt_socket=0,
             seed=3,
         )
-        return run_chaos(config, plan, runner=runner)
+        return run_chaos(config, plan)
 
     def test_completes_without_crashing(self, report):
         assert report.degraded.n_server_crashes == 1
@@ -118,7 +118,7 @@ class TestChaosScenario:
             corrupt_socket=0,
             seed=3,
         )
-        again = run_chaos(config, plan, runner=SweepRunner())
+        again = run_chaos(config, plan)
         assert again.render() == report.render()
         assert again.degraded.event_log_hash == (
             report.degraded.event_log_hash

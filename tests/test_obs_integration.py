@@ -11,8 +11,9 @@ import json
 import pytest
 
 from repro.fleet import FleetConfig, FleetSimulation, TrafficConfig
+from repro.guardband import GuardbandMode
 from repro.obs import Observability, install, observability
-from repro.sim.batch import SweepRunner
+from repro.sim.batch import SweepRunner, SweepTask
 from repro.sim.cache import OperatingPointCache
 
 
@@ -104,6 +105,25 @@ class TestFleetInstrumentation:
         family = restored_observability.metrics.get("fleet_job_latency_seconds")
         total = sum(child.count for _, child in family.children())
         assert total == result.n_completions
+
+
+class TestSweepWorkerUtilization:
+    def test_in_process_batch_counts_one_worker(
+        self, restored_observability, raytrace
+    ):
+        # A one-task batch never enters the pool, so a 4-wide runner's
+        # gauge is the task's share of the batch wall, not a quarter of it.
+        runner = SweepRunner(max_workers=4, cache=OperatingPointCache())
+        report = runner.run(
+            [SweepTask.consolidated(raytrace, 2, GuardbandMode.UNDERVOLT)]
+        )
+        assert not report.used_processes
+        executed_wall = sum(
+            timing.wall_time for timing in report.timings
+            if not timing.from_cache
+        )
+        gauge = restored_observability.metrics.get("sweep_worker_utilization")
+        assert gauge.value == pytest.approx(executed_wall / report.wall_time)
 
 
 class TestObservabilityHandle:
